@@ -4,13 +4,10 @@ estimators, closed-form conditioning, and optimal quotient sample splits."""
 from .bench import PriceTable, RunConfig, run, scaling_report, sweep
 from .kernels import (
     DiagonalKernelParams,
-    RegressionBlocks,
     conditioned_continuation,
     denominator_closed_form,
     kernel_h,
     kernel_second_moment,
-    regression_blocks,
-    residual_conditional_mc,
 )
 from .market_model import AssetPaths, TimeGrid, TriangularVol, build_vol, simulate_paths
 from .pricer import (
@@ -57,7 +54,6 @@ __all__ = [
     "PriceTable",
     "QuotientPlan",
     "QuotientStats",
-    "RegressionBlocks",
     "RunConfig",
     "TimeGrid",
     "TriangularVol",
@@ -84,9 +80,7 @@ __all__ = [
     "price_tree_1d",
     "quotient_estimate",
     "raw_continuation",
-    "regression_blocks",
     "replication_seed",
-    "residual_conditional_mc",
     "run",
     "scaling_report",
     "sigma1_of_lambda",

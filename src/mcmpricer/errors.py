@@ -33,14 +33,6 @@ class NotDiagonalError(McmPricerError, ValueError):
     """Closed-form kernel requested for a non-diagonal volatility."""
 
 
-class GramSingularError(McmPricerError, ValueError):
-    """Conditioning Gram matrix for one column is not positive definite."""
-
-    def __init__(self, column: int, message: str | None = None):
-        self.column = column
-        super().__init__(message or f"Gram matrix singular for column j={column}")
-
-
 class DenominatorMeanNearZeroError(McmPricerError, ArithmeticError):
     """Quotient statistics have |E(Y)| below the usable floor."""
 

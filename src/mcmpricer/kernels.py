@@ -1,4 +1,4 @@
-"""Conditioning layer: closed-form kernels for diagonal vol, regression blocks.
+"""Conditioning layer: closed-form kernels for diagonal vol.
 
 For constant diagonal volatility the weighted indicator of the continuation
 estimator can be replaced by its conditional expectation given the terminal
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, GramSingularError, NotDiagonalError
+from .errors import DegenerateDenominatorError, NotDiagonalError
 from .market_model import AssetPaths, TriangularVol
-from .weights import compute_pi_covariance, gamma_recursive, raw_continuation
+from .weights import raw_continuation
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -197,164 +197,3 @@ def conditioned_continuation(
         raise DegenerateDenominatorError(f"kernel denominator underflowed at x={x}")
     return num, den
 
-
-# ---------------------------------------------------------------------------
-# Regression blocks for general (non-diagonal) triangular volatility.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RegressionBlocks:
-    """Per-column regression of the weight integrals on Y_ij = int sigma_ij dW^j.
-
-    For column j the regressors are Y_j = (Y_ij)_{i >= j}; the regressed
-    variables are the weight integrals int phi_jk dW^j (k <= j) with residual
-    X, and the log-price integrals int_0^s sigma_kj dW^j (k >= j) with
-    residual Z.  All integrals reduce to sums over the constant vol intervals.
-    """
-
-    dim: int
-    s: float
-    t: float
-    sigma_t: list[np.ndarray]
-    sigma_s: list[np.ndarray]
-    psi_t: list[np.ndarray]
-    psi_s: list[np.ndarray]
-    phi_t: list[np.ndarray]
-    a: list[np.ndarray]
-    b: list[np.ndarray]
-    c_x: list[np.ndarray]
-    c_z: list[np.ndarray]
-    c_xz: list[np.ndarray]
-
-
-def _column_integrals(vol: TriangularVol, j: int, s: float, t: float):
-    d = vol.dim
-    rows = np.arange(j, d)
-    sig_t = np.zeros((d - j, d - j))
-    sig_s = np.zeros((d - j, d - j))
-    psi_t = np.zeros((d - j, j + 1))
-    psi_s = np.zeros((d - j, j + 1))
-    phi_t = np.zeros((j + 1, j + 1))
-    for idx, length in vol.overlaps(0.0, t):
-        scol = vol.mats[idx][rows, j]
-        rcol = vol.invs[idx][j, : j + 1]
-        sig_t += length * np.outer(scol, scol)
-        in_near = vol.breaks[idx + 1] <= s + 1e-15
-        w_phi = (1.0 / s) if in_near else (-1.0 / (t - s))
-        psi_t += length * w_phi * np.outer(scol, rcol)
-        phi_t += length * w_phi**2 * np.outer(rcol, rcol)
-        if in_near:
-            sig_s += length * np.outer(scol, scol)
-            psi_s += (length / s) * np.outer(scol, rcol)
-    return sig_t, sig_s, psi_t, psi_s, phi_t
-
-
-def regression_blocks(vol: TriangularVol, s: float, t: float) -> RegressionBlocks:
-    """All regression matrices for the date pair (s, t).
-
-    Assumes the vol breakpoints, together with {s, t}, delimit the constant
-    intervals (true when s and t are exercise dates on the union grid).
-    Raises GramSingularError(j) when a Gram matrix is not positive definite.
-    """
-    if not 0.0 < s < t:
-        raise ValueError(f"need 0 < s < t, got ({s}, {t})")
-    d = vol.dim
-    sub = _refined(vol, (s, t))
-    out = {k: [] for k in ("sigma_t", "sigma_s", "psi_t", "psi_s", "phi_t", "a", "b", "c_x", "c_z", "c_xz")}
-    for j in range(d):
-        sig_t, sig_s, psi_t, psi_s, phi_t = _column_integrals(sub, j, s, t)
-        try:
-            np.linalg.cholesky(sig_t)
-        except np.linalg.LinAlgError as exc:
-            raise GramSingularError(j, f"Gram matrix for column {j} not SPD: {exc}") from exc
-        a = np.linalg.solve(sig_t, psi_t)
-        b = np.linalg.solve(sig_t, sig_s)
-        c_x = phi_t - a.T @ psi_t - psi_t.T @ a + a.T @ sig_t @ a
-        c_z = sig_s - b.T @ sig_s - sig_s @ b + b.T @ sig_t @ b
-        c_xz = psi_s.T - a.T @ sig_s - psi_t.T @ b + a.T @ sig_t @ b
-        out["sigma_t"].append(sig_t)
-        out["sigma_s"].append(sig_s)
-        out["psi_t"].append(psi_t)
-        out["psi_s"].append(psi_s)
-        out["phi_t"].append(phi_t)
-        out["a"].append(a)
-        out["b"].append(b)
-        out["c_x"].append(c_x)
-        out["c_z"].append(c_z)
-        out["c_xz"].append(c_xz)
-    return RegressionBlocks(dim=d, s=float(s), t=float(t), **out)
-
-
-def _refined(vol: TriangularVol, cuts: tuple[float, ...]) -> TriangularVol:
-    """Vol with identical values whose breakpoints include the given cuts."""
-    breaks = list(vol.breaks)
-    for c in cuts:
-        if not np.any(np.isclose(breaks, c)):
-            breaks.append(c)
-    breaks = np.array(sorted(breaks))
-    mats = []
-    invs = []
-    for i in range(len(breaks) - 1):
-        mid = breaks[i] if np.isinf(breaks[i + 1]) else 0.5 * (breaks[i] + breaks[i + 1])
-        src = np.searchsorted(vol.breaks, mid, side="right") - 1
-        mats.append(vol.mats[src])
-        invs.append(vol.invs[src])
-    return TriangularVol(dim=vol.dim, breaks=breaks, mats=np.array(mats), invs=np.array(invs), rate=vol.rate)
-
-
-def residual_conditional_mc(
-    vol: TriangularVol,
-    s: float,
-    t: float,
-    rate: float,
-    s0,
-    x,
-    y_obs: np.ndarray,
-    n_draws: int = 4096,
-    seed: int = 0,
-    blocks: RegressionBlocks | None = None,
-) -> float:
-    """Experimental numeric fallback for the general conditional kernel.
-
-    Estimates h(x, {y_ij}) = E[ Gamma prod_k H_k / S_s^k | Y = y ] by drawing
-    the Gaussian residuals (X, Z) per column from their closed-form covariance
-    blocks and reconstructing the weight integrals and S_s.  This is the
-    numeric stand-in for the symbolic closed form the conditioning layer
-    leaves unspecified for non-diagonal vol.
-    """
-    d = vol.dim
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (d,))
-    x = np.broadcast_to(np.asarray(x, dtype=float), (d,))
-    y_obs = np.asarray(y_obs, dtype=float)
-    if y_obs.shape != (d, d):
-        raise ValueError(f"y_obs must be a {d}x{d} lower-triangular array")
-    if blocks is None:
-        blocks = regression_blocks(vol, s, t)
-    rng = np.random.default_rng(seed)
-
-    int_phi = np.zeros((n_draws, d, d))    # [draw, k, j] = int phi_jk dW^j
-    int_sig_s = np.zeros((n_draws, d, d))  # [draw, k, j] = int_0^s sigma_kj dW^j
-    for j in range(d):
-        yj = y_obs[j:, j]
-        nx, nz = j + 1, d - j
-        cov = np.block([
-            [blocks.c_x[j], blocks.c_xz[j]],
-            [blocks.c_xz[j].T, blocks.c_z[j]],
-        ])
-        cov = cov + 1e-14 * np.eye(nx + nz)
-        chol = np.linalg.cholesky(cov)
-        draws = rng.standard_normal((n_draws, nx + nz)) @ chol.T
-        int_phi[:, : j + 1, j] = blocks.a[j].T @ yj + draws[:, :nx]
-        int_sig_s[:, j:, j] = blocks.b[j].T @ yj + draws[:, nx:]
-
-    pi = 1.0 + int_phi.sum(axis=2)
-    sub = _refined(vol, (s, t))
-    var_s = np.zeros(d)
-    for idx, length in sub.overlaps(0.0, s):
-        var_s += length * np.sum(sub.mats[idx] ** 2, axis=1)
-    log_ss = np.log(s0) + rate * s - 0.5 * var_s + int_sig_s.sum(axis=2)
-    ss = np.exp(log_ss)
-    cov_pi = compute_pi_covariance(vol, s, t)
-    gam = gamma_recursive(pi, cov_pi)
-    ind = np.all(ss >= x, axis=1)
-    return float(np.mean(ind * gam / np.prod(ss, axis=1)))

@@ -9,7 +9,6 @@ for this model class.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,7 +206,6 @@ def simulate_paths(
     r: float,
     n_paths: int,
     seed: int,
-    n_workers: int = 1,
     brownian_scale: float = 1.0,
     store_y: bool | None = None,
 ) -> AssetPaths:
@@ -218,9 +216,8 @@ def simulate_paths(
     vol, grid : model and exercise schedule; vol must cover [0, T].
     s0 : initial asset vector (componentwise positive) or scalar.
     r : risk-neutral drift rate.
-    n_paths, seed : sample size and master seed.
-    n_workers : thread fan-out over fixed path blocks.  The output is a pure
-        function of (seed, parameters) and bit-identical for any worker count.
+    n_paths, seed : sample size and master seed.  The output is a pure
+        function of (seed, parameters).
     brownian_scale : test hook; 0.0 freezes every Brownian increment at zero.
     store_y : force storing the Y integrals (default: only for non-diagonal vol).
     """
@@ -277,15 +274,8 @@ def simulate_paths(
                 if store_y:
                     y[lo:hi, k, :, :] = yb
 
-    bounds = block_bounds(n_paths)
-    if n_workers <= 1 or len(bounds) == 1:
-        for b, (lo, hi) in enumerate(bounds):
-            fill_block(lo, hi, b)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(fill_block, lo, hi, b) for b, (lo, hi) in enumerate(bounds)]
-            for f in futures:
-                f.result()
+    for b, (lo, hi) in enumerate(block_bounds(n_paths)):
+        fill_block(lo, hi, b)
 
     return AssetPaths(
         vol=vol, grid=grid, s0=s0, rate=float(r), seed=int(seed),

@@ -11,6 +11,10 @@ path queries an estimator built from all paths.  Estimator variants:
   * P2eq uses equal numerator/denominator counts; P2opt calibrates the
     optimal split per date (pooled over query points).
 
+Both variants estimate the same quotient E[cashflow K_x] / E[K_x] and differ
+only in the kernel K_x, so one engine serves both: a per-date kernel
+(``_DateKernel``) feeds one pilot, one block loop and one exercise update.
+
 Exercise is allowed at t_1..t_n; the date-0 value is the maximum of the
 immediate payoff and the mean discounted cashflow.
 """
@@ -18,9 +22,11 @@ immediate payoff and the mean discounted cashflow.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -36,7 +42,7 @@ from .kernels import (
     sample_features,
 )
 from .market_model import AssetPaths, TimeGrid, build_vol, simulate_paths
-from .ratio import QuotientPlan, pooled_plan
+from .ratio import M2_MAX_ITER, QuotientPlan, pooled_plan
 from .rng import replication_seed
 from .weights import path_weights
 
@@ -104,28 +110,91 @@ class PriceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Continuation estimators over one date (vectorised over query paths)
+# Continuation engine over one date (vectorised over query paths)
 # ---------------------------------------------------------------------------
 
-def _pilot_moments(kmat: np.ndarray, cf: np.ndarray, scale: np.ndarray | None = None):
-    """Per-query first/second moments of X = cf*K and Y = K over the columns.
+@dataclass(frozen=True, eq=False)
+class _DateKernel:
+    """The kernel K_x of one exercise date, for every in-the-money query x.
 
-    Rows are rescaled to unit kernel mean first (the split plan is invariant
-    under joint rescaling of X and Y); kernel products can sit at 1e-30 in
-    high dimension, far below any absolute floor.
+    ``rows(lo, hi, m, out)`` writes K for queries lo..hi-1 against the first m
+    samples into ``out`` and returns it: exp(U V^T) for the conditioned
+    estimator, the indicator 1{S_s >= x} for the raw one, whose per-sample
+    weight Gamma / prod S_s is ``weight``.  ``closed_b`` is the closed-form
+    denominator (P1) and ``closed_s2`` the closed-form denominator std (closed
+    calibration); a denominator at or below ``floor`` is degenerate.
     """
-    m = kmat.shape[1]
-    if scale is None:
-        # abs-mean keeps the scaling positive for signed raw weights
-        scale = np.mean(np.abs(kmat), axis=1)
-    good = scale > 0.0
-    kn = np.where(good[:, None], kmat / np.where(good, scale, 1.0)[:, None], 0.0)
+
+    n_queries: int
+    rows: Callable[[int, int, int, np.ndarray], np.ndarray]
+    weight: np.ndarray | None
+    closed_b: np.ndarray | None
+    closed_s2: np.ndarray | None
+    floor: float
+
+
+def _kernel_params(paths: AssetPaths, k: int) -> DiagonalKernelParams:
+    dates = paths.grid.dates
+    return DiagonalKernelParams.from_model(
+        paths.vol, float(dates[k]), float(dates[k + 1]), paths.rate, paths.s0
+    )
+
+
+def _conditioned_kernel(
+    paths: AssetPaths, k: int, x_itm: np.ndarray, method: str, calibration: str
+) -> _DateKernel:
+    """Closed-form conditioned kernel exp(U V^T) at date k (diagonal constant vol)."""
+    params = _kernel_params(paths, k)
+    vt = np.ascontiguousarray(sample_features(params, paths.w_at_date(k + 1)).T)
+    u = query_features(params, x_itm)
+    closed_b = closed_s2 = None
+    if method == "P1" or calibration == "closed":
+        closed_b = denominator_closed_form(params, x_itm)
+        if calibration == "closed":
+            e2 = kernel_second_moment(params, x_itm)
+            closed_s2 = np.sqrt(np.maximum(e2 - closed_b**2, 0.0))
+
+    def rows(lo, hi, m, out):
+        np.matmul(u[lo:hi], vt[:, :m], out=out)
+        return np.exp(out, out=out)
+
+    return _DateKernel(len(u), rows, None, closed_b, closed_s2, 1e-300)
+
+
+def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
+    """Raw weighted-indicator kernel at date k; the closed denominator needs diagonal vol."""
+    s_k = paths.s[:, k, :]
+    w = path_weights(paths, k, k + 1)
+    closed_b = None
+    if method == "P1":
+        params = _kernel_params(paths, k)
+        scale = params.sigma * params.s * (params.t - params.s)
+        closed_b = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
+
+    def rows(lo, hi, m, out):
+        _indicator_block(s_k[:m], x_itm[lo:hi], out=out)
+        return out
+
+    return _DateKernel(len(x_itm), rows, w, closed_b, None, 1e-12 * float(np.mean(np.abs(w))))
+
+
+def _indicator_block(s_k: np.ndarray, x_blk: np.ndarray, out: np.ndarray) -> None:
+    """out[q, p] = 1.0 if S_s^p >= x_q componentwise."""
+    nb = len(x_blk)
+    acc = s_k[None, :, 0] >= x_blk[:, 0][:, None]
+    for j in range(1, s_k.shape[1]):
+        acc &= s_k[None, :, j] >= x_blk[:, j][:, None]
+    out[:nb] = acc
+
+
+def _pilot_moments(kn: np.ndarray, cf: np.ndarray):
+    """Per-query first/second moments of X = cf*K and Y = K over the columns."""
+    m = kn.shape[1]
     rhs = np.stack([cf, np.ones(m), cf * cf], axis=1)
     first = kn @ rhs / m                       # E[X], E[Y], -
-    ksq = kn * kn
-    second = ksq @ rhs / m                     # E[XY], E[Y^2], E[X^2]
+    second = (kn * kn) @ rhs / m               # E[XY], E[Y^2], E[X^2]
     a = first[:, 0]
-    b = np.where(good, first[:, 1], 0.0)
+    b = first[:, 1]
     var_x = np.maximum(second[:, 2] - a * a, 0.0)
     var_y = np.maximum(second[:, 1] - b * b, 0.0)
     cov = second[:, 0] - a * b
@@ -136,51 +205,72 @@ def _pilot_moments(kmat: np.ndarray, cf: np.ndarray, scale: np.ndarray | None = 
     return a, b, s1, s2, rho
 
 
-def _date_plan(
-    u: np.ndarray,
-    v: np.ndarray,
-    cf: np.ndarray,
-    calibration: str,
-    m2_eps: float,
-    closed_b: np.ndarray | None,
-    closed_s2: np.ndarray | None,
-) -> QuotientPlan:
+def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: float) -> QuotientPlan:
     """Pooled sample-split plan for one exercise date (P2opt only).
 
-    The pilot kernel rows are normalised to unit denominator mean (closed form
-    when available, otherwise the simulated mean); the split plan is invariant
-    under that joint rescaling and the statistics stay at sane magnitudes.
+    The pilot kernel rows (the first PILOT_QUERIES queries against the first
+    PILOT_SAMPLES samples) are normalised to unit denominator mean: the closed
+    form under closed calibration, otherwise the simulated mean of |K|, which
+    stays positive under the raw estimator's signed weights.  The split plan
+    is invariant under that joint rescaling of X and Y, and kernel products
+    can sit at 1e-30 in high dimension, far below any absolute floor.
     """
-    n = v.shape[0]
-    uq = u[:PILOT_QUERIES]
+    n = len(cf)
+    nq = min(PILOT_QUERIES, kern.n_queries)
     m = min(PILOT_SAMPLES, n)
-    kmat = np.exp(uq @ v[:m].T)
-    closed = calibration == "closed" and closed_b is not None
-    scale = closed_b[: len(uq)].copy() if closed else kmat.mean(axis=1)
+    kmat = kern.rows(0, nq, m, np.empty((nq, m)))
+    if kern.weight is not None:
+        kmat *= kern.weight[:m]
+    closed = calibration == "closed" and kern.closed_s2 is not None
+    scale = kern.closed_b[:nq] if closed else np.mean(np.abs(kmat), axis=1)
     good = scale > 0.0
     kmat = np.where(good[:, None], kmat / np.where(good, scale, 1.0)[:, None], 0.0)
-    unit = np.ones(len(uq))
-    a, b, s1, s2, rho = _pilot_moments(kmat, cf[:m], scale=unit)
+    a, b, s1, s2, rho = _pilot_moments(kmat, cf[:m])
     if closed:
         b = np.where(good, 1.0, 0.0)
-        s2 = np.where(good, closed_s2[: len(uq)] / np.where(good, scale, 1.0), 0.0)
+        s2 = np.where(good, kern.closed_s2[:nq] / np.where(good, scale, 1.0), 0.0)
         return pooled_plan(a, b, s1, s2, rho, n, b_closed_form=True)
-    if calibration == "M2":
-        plan = pooled_plan(a, b, s1, s2, rho, n)
-        lam = plan.lam
-        for _ in range(50):
-            msub = max(2, round(lam * m))
-            if plan.regime == "case1":
-                a = kmat[:, :msub] @ cf[:msub] / msub
-            else:
-                b = kmat[:, :msub].mean(axis=1)
-            new = pooled_plan(a, b, s1, s2, rho, n)
-            if abs(new.lam - lam) < m2_eps:
-                return new
-            lam = new.lam
-            plan = new
+    plan = pooled_plan(a, b, s1, s2, rho, n)
+    if calibration != "M2":
         return plan
-    return pooled_plan(a, b, s1, s2, rho, n)
+    # fixed point: re-estimate the split-dependent mean on lambda * m samples
+    lam = plan.lam
+    for _ in range(M2_MAX_ITER):
+        msub = max(2, round(lam * m))
+        if plan.regime == "case1":
+            a = kmat[:, :msub] @ cf[:msub] / msub
+        else:
+            b = kmat[:, :msub].mean(axis=1)
+        new = pooled_plan(a, b, s1, s2, rho, n)
+        if abs(new.lam - lam) < m2_eps:
+            return new
+        lam = new.lam
+        plan = new
+    return plan
+
+
+def _kernel_sums(
+    kern: _DateKernel, cf: np.ndarray, n_num: int, n_den: int, buf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator means of every query of one date.
+
+    The numerator averages cf * weight * K over the first n_num samples, the
+    denominator weight * K over the first n_den; queries go through ``buf``
+    (QUERY_BLOCK x n) one block at a time.
+    """
+    n = len(cf)
+    w = np.ones(n) if kern.weight is None else kern.weight
+    rhs = np.zeros((n, 2))
+    rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
+    rhs[:n_den, 1] = w[:n_den] / n_den
+    num = np.empty(kern.n_queries)
+    den = np.empty(kern.n_queries)
+    for lo in range(0, kern.n_queries, QUERY_BLOCK):
+        hi = min(lo + QUERY_BLOCK, kern.n_queries)
+        nd = kern.rows(lo, hi, n, buf[: hi - lo]) @ rhs
+        num[lo:hi] = nd[:, 0]
+        den[lo:hi] = nd[:, 1]
+    return num, den
 
 
 def _mcm_sweep(
@@ -202,113 +292,37 @@ def _mcm_sweep(
     n = paths.n_paths
     r = paths.rate
     dates = paths.grid.dates
-    n_steps = paths.grid.n_steps
 
     cf = np.exp(-r * dates[-1]) * payoff(paths.s[:, -1, :])
     fallbacks = 0
     buf = np.empty((QUERY_BLOCK, n))
 
-    for k in range(n_steps - 1, 0, -1):
+    for k in range(paths.grid.n_steps - 1, 0, -1):
         s_k = paths.s[:, k, :]
         intrinsic = payoff(s_k)
         itm = np.flatnonzero(intrinsic > 0.0)
         if itm.size == 0:
             continue
-        x_itm = s_k[itm]
-        grow = float(np.exp(r * dates[k]))
-
         if conditioning:
-            params = DiagonalKernelParams.from_model(
-                paths.vol, float(dates[k]), float(dates[k + 1]), r, paths.s0
-            )
-            v = sample_features(params, paths.w_at_date(k + 1))
-            u = query_features(params, x_itm)
-            closed_b = closed_s2 = None
-            if method == "P1" or calibration == "closed":
-                closed_b = denominator_closed_form(params, x_itm)
-                if calibration == "closed":
-                    e2 = kernel_second_moment(params, x_itm)
-                    closed_s2 = np.sqrt(np.maximum(e2 - closed_b**2, 0.0))
-            n_num, n_den = n, n
-            if method == "P2opt":
-                plan = _date_plan(u, v, cf, calibration, m2_eps, closed_b, closed_s2)
-                n_num, n_den = plan.n_prime, plan.n
-            rhs = np.zeros((n, 2))
-            rhs[:n_num, 0] = cf[:n_num] / n_num
-            if method != "P1":
-                rhs[:n_den, 1] = 1.0 / n_den
-            vt = np.ascontiguousarray(v.T)
-            num = np.empty(itm.size)
-            den = np.empty(itm.size)
-            for lo in range(0, itm.size, QUERY_BLOCK):
-                hi = min(lo + QUERY_BLOCK, itm.size)
-                kblk = buf[: hi - lo]
-                np.matmul(u[lo:hi], vt, out=kblk)
-                np.exp(kblk, out=kblk)
-                nd = kblk @ rhs
-                num[lo:hi] = nd[:, 0]
-                den[lo:hi] = nd[:, 1]
-            if method == "P1":
-                den = closed_b
-            bad = ~(den > 1e-300)
+            kern = _conditioned_kernel(paths, k, s_k[itm], method, calibration)
         else:
-            w = path_weights(paths, k, k + 1)
-            floor = 1e-12 * float(np.mean(np.abs(w)))
-            n_num, n_den = n, n
-            if method == "P2opt":
-                plan = _raw_date_plan(paths, s_k, x_itm, cf, w, n)
-                n_num, n_den = plan.n_prime, plan.n
-            closed_d = None
-            if method == "P1":
-                params = DiagonalKernelParams.from_model(
-                    paths.vol, float(dates[k]), float(dates[k + 1]), r, paths.s0
-                )
-                scale = params.sigma * params.s * (params.t - params.s)
-                closed_d = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
-            rhs = np.zeros((n, 2))
-            rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
-            if method != "P1":
-                rhs[:n_den, 1] = w[:n_den] / n_den
-            num = np.empty(itm.size)
-            den = np.empty(itm.size)
-            for lo in range(0, itm.size, QUERY_BLOCK):
-                hi = min(lo + QUERY_BLOCK, itm.size)
-                kblk = buf[: hi - lo]
-                _indicator_block(s_k, x_itm[lo:hi], out=kblk)
-                nd = kblk @ rhs
-                num[lo:hi] = nd[:, 0]
-                den[lo:hi] = nd[:, 1]
-            if method == "P1":
-                den = closed_d
-            bad = ~(den > floor)
-
+            kern = _raw_kernel(paths, k, s_k[itm], method)
+        n_num = n_den = n
+        if method == "P2opt":
+            plan = _date_plan(kern, cf, calibration, m2_eps)
+            n_num, n_den = plan.n_prime, plan.n
+        num, den = _kernel_sums(kern, cf, n_num, n_den, buf)
+        if method == "P1":
+            den = kern.closed_b
+        bad = ~(den > kern.floor)
         fallbacks += int(np.count_nonzero(bad))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cont = grow * num / den
+            cont = float(np.exp(r * dates[k])) * num / den
         cont[bad] = np.inf
         exercised = itm[intrinsic[itm] > cont]
         cf[exercised] = np.exp(-r * dates[k]) * intrinsic[exercised]
 
     return max(float(payoff(paths.s0[None, :])[0]), float(np.mean(cf))), fallbacks
-
-
-def _indicator_block(s_k: np.ndarray, x_blk: np.ndarray, out: np.ndarray) -> None:
-    """out[q, p] = 1.0 if S_s^p >= x_q componentwise."""
-    nb = len(x_blk)
-    acc = s_k[None, :, 0] >= x_blk[:, 0][:, None]
-    for j in range(1, s_k.shape[1]):
-        acc &= s_k[None, :, j] >= x_blk[:, j][:, None]
-    out[:nb] = acc
-
-
-def _raw_date_plan(paths, s_k, x_itm, cf, w, n) -> QuotientPlan:
-    sub_q = x_itm[:PILOT_QUERIES]
-    m = min(PILOT_SAMPLES, n)
-    ind = np.empty((len(sub_q), m))
-    _indicator_block(s_k[:m], sub_q, out=ind)
-    kmat = ind * w[:m]
-    a, b, s1, s2, rho = _pilot_moments(kmat, cf[:m])
-    return pooled_plan(a, b, s1, s2, rho, n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +373,35 @@ def _ls_sweep(paths: AssetPaths, payoff: Payoff, basis: str) -> tuple[float, int
 # Replicated entry points
 # ---------------------------------------------------------------------------
 
-def _one_replication(args) -> tuple[float, int]:
-    (
-        kind, dim, strike, vol_spec, maturity, n_steps, s0, r,
-        n_paths, seed, rep, method, conditioning, calibration, m2_eps, basis,
-    ) = args
-    payoff = Payoff(kind=kind, dim=dim, strike=strike)
-    vol = build_vol(dim, vol_spec, rate=r)
+def _one_replication(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, rep):
+    """Simulate replication ``rep`` and run ``sweep(paths, payoff)`` on it."""
+    vol = build_vol(payoff.dim, vol_spec, rate=r)
     grid = TimeGrid(maturity, n_steps)
     with threadpool_limits(limits=1):
         paths = simulate_paths(vol, grid, s0, r, n_paths, replication_seed(seed, rep))
-        if method == "LS":
-            return _ls_sweep(paths, payoff, basis)
-        return _mcm_sweep(paths, payoff, method, conditioning, calibration, m2_eps)
+        return sweep(paths, payoff)
 
 
-def _run_replications(args_list, n_workers: int) -> list[tuple[float, int]]:
-    if n_workers <= 1 or len(args_list) == 1:
-        return [_one_replication(a) for a in args_list]
-    ctx = get_context("spawn")
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-        return list(pool.map(_one_replication, args_list))
+def _replicate(
+    sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, replications, n_workers
+) -> PriceEstimate:
+    """Run ``replications`` sweeps, serially or on a spawn process pool, and aggregate.
+
+    ``sweep`` is a picklable partial of _mcm_sweep or _ls_sweep.  Replication
+    i simulates from replication_seed(seed, i), so the values are a pure
+    function of (seed, parameters), independent of n_workers.
+    """
+    t0 = time.perf_counter()
+    job = partial(_one_replication, sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed)
+    if n_workers <= 1 or replications == 1:
+        out = [job(i) for i in range(replications)]
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=get_context("spawn")) as pool:
+            out = list(pool.map(job, range(replications)))
+    values = tuple(v for v, _ in out)
+    fallbacks = sum(f for _, f in out)
+    std = float(np.std(values)) if len(values) > 1 else 0.0
+    return PriceEstimate(float(np.mean(values)), std, values, fallbacks, time.perf_counter() - t0)
 
 
 def price_mcm(
@@ -406,17 +428,10 @@ def price_mcm(
     """
     if method == "LS":
         raise ValueError("use price_ls for the regression baseline")
-    t0 = time.perf_counter()
-    args = [
-        (payoff.kind, payoff.dim, payoff.strike, vol_spec, maturity, n_steps, s0, r,
-         n_paths, seed, i, method, conditioning, calibration, m2_eps, None)
-        for i in range(replications)
-    ]
-    out = _run_replications(args, n_workers)
-    values = tuple(v for v, _ in out)
-    fallbacks = sum(f for _, f in out)
-    std = float(np.std(values)) if len(values) > 1 else 0.0
-    return PriceEstimate(float(np.mean(values)), std, values, fallbacks, time.perf_counter() - t0)
+    sweep = partial(_mcm_sweep, method=method, conditioning=conditioning,
+                    calibration=calibration, m2_eps=m2_eps)
+    return _replicate(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed,
+                      replications, n_workers)
 
 
 def price_ls(
@@ -438,16 +453,8 @@ def price_ls(
     """
     if basis is None:
         basis = "monomials3" if payoff.dim == 1 else "linear"
-    t0 = time.perf_counter()
-    args = [
-        (payoff.kind, payoff.dim, payoff.strike, vol_spec, maturity, n_steps, s0, r,
-         n_paths, seed, i, "LS", False, "M1", 1e-3, basis)
-        for i in range(replications)
-    ]
-    out = _run_replications(args, n_workers)
-    values = tuple(v for v, _ in out)
-    std = float(np.std(values)) if len(values) > 1 else 0.0
-    return PriceEstimate(float(np.mean(values)), std, values, 0, time.perf_counter() - t0)
+    return _replicate(partial(_ls_sweep, basis=basis), payoff, vol_spec, maturity, n_steps, s0, r,
+                      n_paths, seed, replications, n_workers)
 
 
 def european_value(paths: AssetPaths, payoff: Payoff) -> float:

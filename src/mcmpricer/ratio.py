@@ -34,7 +34,6 @@ class QuotientStats:
     sigma1: float
     sigma2: float
     rho: float
-    provenance: tuple[str, ...] = ("pilot-MC",) * 5
 
     def __post_init__(self):
         if self.sigma1 < 0.0 or self.sigma2 < 0.0:
@@ -69,7 +68,7 @@ class QuotientPlan:
         return min(self.n, self.n_prime)
 
 
-def stats_from_samples(xs: np.ndarray, ys: np.ndarray, provenance: str = "pilot-MC") -> QuotientStats:
+def stats_from_samples(xs: np.ndarray, ys: np.ndarray) -> QuotientStats:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     s1 = float(np.std(xs))
@@ -78,7 +77,7 @@ def stats_from_samples(xs: np.ndarray, ys: np.ndarray, provenance: str = "pilot-
         rho = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (s1 * s2))
     else:
         rho = 0.0
-    return QuotientStats(float(np.mean(xs)), float(np.mean(ys)), s1, s2, rho, (provenance,) * 5)
+    return QuotientStats(float(np.mean(xs)), float(np.mean(ys)), s1, s2, rho)
 
 
 def sigma1_of_lambda(stats: QuotientStats, lam: float) -> float:
@@ -157,19 +156,25 @@ def optimal_plan(stats: QuotientStats, n_max: int, b_closed_form: bool = False) 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     case1 = prefers_case1(stats)
-    lam = float(np.clip(lambda_min(stats, case1), 1.0 / n_max, 1.0))
+    return _resolve(stats, case1, lambda_min(stats, case1), n_max, b_closed_form)
+
+
+def _resolve(
+    stats: QuotientStats, case1: bool, lam: float, n_max: int, b_closed_form: bool, converged: bool = True
+) -> QuotientPlan:
+    """The plan for a chosen regime and split: lambda clamped to [1/n_max, 1],
+    its predicted variance, the sample counts and the procedure."""
+    lam = float(np.clip(lam, 1.0 / n_max, 1.0))
     sigma = sigma1_of_lambda(stats, lam) if case1 else sigma2_of_lambda(stats, lam)
     if case1:
-        n = n_max
-        n_prime = max(1, round(lam * n_max))
+        n, n_prime = n_max, max(1, round(lam * n_max))
     else:
-        n_prime = n_max
-        n = max(1, round(lam * n_max))
+        n, n_prime = max(1, round(lam * n_max)), n_max
     procedure = "P2" if p2_preferred(stats, case1) else ("P1" if b_closed_form else "P2")
     return QuotientPlan(
         regime="case1" if case1 else "case2",
         lam=lam, sigma=float(sigma), procedure=procedure,
-        n=n, n_prime=n_prime, stats=stats,
+        n=n, n_prime=n_prime, stats=stats, converged=converged,
     )
 
 
@@ -227,14 +232,7 @@ def calibrate_m2(sampler, n_max: int, eps: float, b_closed_form: bool = False) -
             converged = True
             break
         lam = float(np.clip(target, 1.0 / n_max, 1.0))
-    plan = optimal_plan(stats, n_max, b_closed_form)
-    lam = float(np.clip(lam, 1.0 / n_max, 1.0))
-    sigma = sigma1_of_lambda(stats, lam) if case1 else sigma2_of_lambda(stats, lam)
-    if case1:
-        n, n_prime = n_max, max(1, round(lam * n_max))
-    else:
-        n, n_prime = max(1, round(lam * n_max)), n_max
-    return replace(plan, lam=lam, sigma=float(sigma), n=n, n_prime=n_prime, converged=converged)
+    return _resolve(stats, case1, lam, n_max, b_closed_form, converged)
 
 
 def pooled_plan(
@@ -270,19 +268,8 @@ def pooled_plan(
         lam_all = 0.5 + b[sel] * sigma1[sel] * rho[sel] / (2.0 * a[sel] * sigma2[sel])
     else:
         lam_all = 0.5 + a[sel] * sigma2[sel] * rho[sel] / (2.0 * b[sel] * sigma1[sel])
-    lam = float(np.clip(np.median(lam_all), 1.0 / n_max, 1.0))
     med = QuotientStats(
         float(np.median(a[sel])), float(np.median(b[sel])),
         float(np.median(sigma1[sel])), float(np.median(sigma2[sel])), float(np.median(rho[sel])),
     )
-    sigma = sigma1_of_lambda(med, lam) if majority_case1 else sigma2_of_lambda(med, lam)
-    if majority_case1:
-        n, n_prime = n_max, max(1, round(lam * n_max))
-    else:
-        n, n_prime = max(1, round(lam * n_max)), n_max
-    procedure = "P2" if p2_preferred(med, majority_case1) else ("P1" if b_closed_form else "P2")
-    return QuotientPlan(
-        regime="case1" if majority_case1 else "case2",
-        lam=lam, sigma=float(sigma), procedure=procedure,
-        n=n, n_prime=n_prime, stats=med,
-    )
+    return _resolve(med, majority_case1, float(np.median(lam_all)), n_max, b_closed_form)

@@ -1,9 +1,9 @@
 """Counter-style random number streams for reproducible parallel simulation.
 
 Draws are addressed by (master seed, path block, substream) and are produced
-by independently keyed Philox generators, so any scheduling of blocks across
-workers yields bit-identical output.  Paths live in fixed-size blocks of
-``BLOCK_PATHS`` regardless of how many workers are in play.
+by independently keyed Philox generators, so the output does not depend on
+the order in which blocks are filled.  Paths live in fixed-size blocks of
+``BLOCK_PATHS``.
 """
 
 from __future__ import annotations
@@ -43,5 +43,5 @@ def stream_normals(seed: int, substream: int, block: int, shape: tuple[int, ...]
 
 
 def block_bounds(n_paths: int) -> list[tuple[int, int]]:
-    """Fixed [start, stop) path ranges; identical for every worker count."""
+    """Fixed [start, stop) path ranges of BLOCK_PATHS paths each."""
     return [(lo, min(lo + BLOCK_PATHS, n_paths)) for lo in range(0, n_paths, BLOCK_PATHS)]

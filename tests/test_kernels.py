@@ -10,11 +10,9 @@ from mcmpricer import (
     kernel_h,
     kernel_second_moment,
     raw_continuation,
-    regression_blocks,
-    residual_conditional_mc,
     simulate_paths,
 )
-from mcmpricer.errors import GramSingularError, NotDiagonalError
+from mcmpricer.errors import NotDiagonalError
 from mcmpricer.kernels import query_features, sample_features
 
 from conftest import BENCH_RATE
@@ -156,65 +154,3 @@ class TestConditionedContinuation:
             quotients.append(num / den)
         assert np.all(np.isfinite(quotients))
 
-
-class TestRegressionBlocks:
-    def test_diagonal_scalar_ratio(self):
-        blocks = regression_blocks(build_vol(1, 0.2), 0.5, 1.0)
-        assert blocks.b[0].shape == (1, 1)
-        assert blocks.b[0][0, 0] == pytest.approx(0.5, rel=1e-12)
-
-    def test_constant_vol_gram_singular_beyond_1d(self):
-        # constant columns make the Gram matrix rank one for d - j >= 2
-        with pytest.raises(GramSingularError):
-            regression_blocks(build_vol(2, [[0.2, 0.0], [0.1, 0.3]]), 0.5, 1.0)
-
-    @staticmethod
-    def _piecewise_vol_3d(seed=40):
-        rng = np.random.default_rng(seed)
-        mats = []
-        for _ in range(4):
-            m = np.tril(rng.normal(0.0, 0.15, (3, 3)))
-            m[np.diag_indices(3)] = rng.uniform(0.15, 0.4, 3)
-            mats.append(m.tolist())
-        return build_vol(3, {"breaks": [0.0, 0.25, 0.5, 0.75, 1.0], "matrices": mats})
-
-    def test_total_variance_identity(self):
-        vol = self._piecewise_vol_3d()
-        blocks = regression_blocks(vol, 0.5, 1.0)
-        for j in range(3):
-            explained = blocks.a[j].T @ blocks.sigma_t[j] @ blocks.a[j]
-            total = explained + blocks.c_x[j]
-            np.testing.assert_allclose(np.diag(total), np.diag(blocks.phi_t[j]), atol=1e-10)
-
-    def test_residual_orthogonality_mc(self):
-        vol = self._piecewise_vol_3d()
-        s, t = 0.5, 1.0
-        paths = simulate_paths(vol, TimeGrid(1.0, 2), 100.0, 0.0, 2**17, seed=41, store_y=True)
-        blocks = regression_blocks(vol, s, t)
-        y_t = paths.y[:, 2, :, :]
-        for j in range(3):
-            yj = y_t[:, j:, j]
-            # rebuild the weight integrals int phi_jk dW^j from the increments
-            int_phi = np.zeros((paths.n_paths, j + 1))
-            for vidx, dw in paths.dw_between(0.0, s):
-                int_phi += np.outer(dw[:, j], vol.invs[vidx][j, : j + 1]) / s
-            for vidx, dw in paths.dw_between(s, t):
-                int_phi -= np.outer(dw[:, j], vol.invs[vidx][j, : j + 1]) / (t - s)
-            resid = int_phi - yj @ blocks.a[j]
-            for k in range(j + 1):
-                for i in range(3 - j):
-                    prods = resid[:, k] * yj[:, i]
-                    stderr = prods.std() / np.sqrt(len(prods))
-                    assert abs(prods.mean()) <= 4.0 * stderr
-
-    def test_residual_mc_matches_kernel_1d(self):
-        # d=1: Gamma = pi = W-combination/(sigma s (t-s)), so the conditional
-        # value equals kernel_h / (sigma s (t-s))
-        sig, s, t, rate = 0.2, 0.5, 1.0, BENCH_RATE
-        vol = build_vol(1, sig)
-        p = _params(sigma=sig, s=s, t=t, rate=rate)
-        for w_t, x in ((0.3, 100.0), (-0.2, 95.0)):
-            est = residual_conditional_mc(vol, s, t, rate, 100.0, x, np.array([[sig * w_t]]),
-                                          n_draws=2**16, seed=42)
-            expected = float(kernel_h(p, x, np.array([w_t]))) / (sig * s * (t - s))
-            assert est == pytest.approx(expected, rel=0.05)

@@ -95,15 +95,6 @@ class TestSimulation:
             stderr = np.sqrt(2.0 / (len(logret) - 1)) * var
             assert abs(var - targets[i]) <= 3.0 * stderr
 
-    def test_bit_identical_across_workers(self):
-        vol = build_vol(3, np.tril([[0.2, 0, 0], [0.05, 0.25, 0], [0.02, 0.03, 0.3]]))
-        grid = TimeGrid(1.0, 5)
-        one = simulate_paths(vol, grid, 100.0, 0.05, 10000, seed=77, n_workers=1)
-        eight = simulate_paths(vol, grid, 100.0, 0.05, 10000, seed=77, n_workers=8)
-        assert one.w.tobytes() == eight.w.tobytes()
-        assert one.s.tobytes() == eight.s.tobytes()
-        assert one.y.tobytes() == eight.y.tobytes()
-
     def test_pure_function_of_seed(self):
         vol = build_vol(1, 0.2)
         grid = TimeGrid(1.0, 3)

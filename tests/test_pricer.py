@@ -1,20 +1,28 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mcmpricer import (
+    DiagonalKernelParams,
     Payoff,
     TimeGrid,
     build_vol,
     conditional_expectation_check,
+    conditioned_continuation,
     european_value,
     evaluate_payoff,
     geometric_equivalent_1d,
+    kernel_h,
+    path_weights,
     price_ls,
     price_mcm,
     price_tree_1d,
+    raw_continuation,
     simulate_paths,
     tree_american_put,
 )
+from mcmpricer import pricer
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError
 from mcmpricer.pricer import _ls_sweep, _mcm_sweep, tree_converged
 
@@ -91,6 +99,99 @@ class TestSweepIdentities:
         payoff = Payoff("min_put", 2, 100.0)
         price, _ = _mcm_sweep(paths, payoff, "P2eq", conditioning=True)
         assert np.isfinite(price) and price > 0.0
+
+
+class TestEngine:
+    def test_rows_and_quotients_match_single_query_references(self, tri_vol_2d, monkeypatch):
+        # two-query blocks, so five queries take three passes of the block loop
+        monkeypatch.setattr(pricer, "QUERY_BLOCK", 2)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        diag = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=85)
+        tri = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=86)
+        k = 2
+        for paths, conditioning in ((diag, True), (diag, False), (tri, False)):
+            n = paths.n_paths
+            s_k = paths.s[:, k, :]
+            # the five least in-the-money paths, where the raw denominator is healthy
+            intrinsic = payoff(s_k)
+            itm = np.flatnonzero(intrinsic > 0.0)
+            x = s_k[itm[np.argsort(intrinsic[itm])[:5]]]
+            g = payoff(paths.s[:, k + 1, :])
+            if conditioning:
+                kern = pricer._conditioned_kernel(paths, k, x, "P2eq", "M1")
+                params = DiagonalKernelParams.from_model(paths.vol, 0.5, 0.75, BENCH_RATE, paths.s0)
+                expected = np.array([kernel_h(params, xi, paths.w_at_date(k + 1)) for xi in x])
+                np.testing.assert_allclose(kern.rows(0, 5, n, np.empty((5, n))), expected, rtol=1e-12)
+            else:
+                kern = pricer._raw_kernel(paths, k, x, "P2eq")
+                ind = np.all(s_k[None, :, :] >= x[:, None, :], axis=-1)
+                rows = kern.rows(0, 5, n, np.empty((5, n)))
+                np.testing.assert_array_equal(rows * kern.weight, ind * path_weights(paths, k, k + 1))
+            num, den = pricer._kernel_sums(kern, g, n, n, np.empty((2, n)))
+            for i, xi in enumerate(x):
+                if conditioning:
+                    ref_num, ref_den = conditioned_continuation(paths, k, k + 1, xi, g)
+                else:
+                    ref_num, ref_den = raw_continuation(paths, k, k + 1, xi, g)
+                assert num[i] / den[i] == pytest.approx(ref_num / ref_den, rel=1e-12, abs=0.0)
+
+    def test_raw_m2_iterates_the_plan(self, tri_vol_2d, monkeypatch):
+        # the raw estimator runs the M2 fixed point: more than one plan per date
+        events = []
+        real_plan, real_weights = pricer.pooled_plan, pricer.path_weights
+
+        def plan(*args, **kwargs):
+            events.append("plan")
+            return real_plan(*args, **kwargs)
+
+        def weights(paths, s_index, t_index):
+            events.append("date")   # one call per raw date, before its plans
+            return real_weights(paths, s_index, t_index)
+
+        monkeypatch.setattr(pricer, "pooled_plan", plan)
+        monkeypatch.setattr(pricer, "path_weights", weights)
+        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, 0.0, 2**12, seed=84)
+        payoff = Payoff("min_put", 2, 100.0)
+        for calibration in ("M1", "M2"):
+            events.clear()
+            _mcm_sweep(paths, payoff, "P2opt", conditioning=False, calibration=calibration)
+            plans_per_date = []
+            for e in events:
+                if e == "plan":
+                    plans_per_date[-1] += 1
+                else:
+                    plans_per_date.append(0)
+            if calibration == "M1":
+                assert plans_per_date == [1, 1, 1]
+            else:
+                assert len(plans_per_date) == 3 and max(plans_per_date) > 1
+
+    def test_layer_functions_are_looked_up_in_the_pricer(self, tri_vol_2d, monkeypatch):
+        # an outside tracer swaps exactly these names in mcmpricer.pricer
+        names = ("simulate_paths", "path_weights", "query_features", "sample_features",
+                 "denominator_closed_form", "kernel_second_moment", "denominator_factors",
+                 "pooled_plan")
+        called = Counter()
+        for name in names:
+            real = getattr(pricer, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                called[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pricer, name, wrapper)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        runs = (
+            (0.2, "P2opt", True, {"simulate_paths", "query_features", "sample_features",
+                                  "denominator_closed_form", "kernel_second_moment", "pooled_plan"}),
+            (tri_vol_2d.mats[0], "P2opt", False, {"simulate_paths", "path_weights", "pooled_plan"}),
+            (0.2, "P1", False, {"simulate_paths", "path_weights", "denominator_factors"}),
+        )
+        for vol_spec, method, conditioning, expected in runs:
+            called.clear()
+            price_mcm(payoff, vol_spec, 1.0, 4, 100.0, BENCH_RATE, 2**10, seed=3, method=method,
+                      conditioning=conditioning, replications=1, n_workers=1)
+            assert expected <= set(called), (method, conditioning, dict(called))
 
 
 class TestPriceMcm:

@@ -215,6 +215,24 @@ class TestCalibration:
         plan = calibrate_m2(sampler, n_max=16, eps=1e-12)
         assert not plan.converged
 
+    def test_m2_regime_labels_its_counts(self):
+        # case 1 keeps all n_max denominator samples (N' = lambda N), case 2
+        # all n_max numerator samples; the label must match the counts.
+        n_max = 64
+        rng = np.random.default_rng(70)
+        draws = [(1.14626, 1.48379, 2.81152, 2.84579, -0.80643, 35)]
+        for _ in range(300):
+            a, b = rng.uniform(0.2, 3.0, 2)
+            s1, s2 = rng.uniform(0.1, 3.0, 2)
+            draws.append((a, b, s1, s2, rng.uniform(-0.95, 0.95), int(rng.integers(2**31))))
+        for a, b, s1, s2, rho, seed in draws:
+            plan = calibrate_m2(self._gaussian_sampler(a, b, s1, s2, rho, seed), n_max, eps=1e-3)
+            split = max(1, round(plan.lam * n_max))
+            if plan.regime == "case1":
+                assert (plan.n, plan.n_prime) == (n_max, split), (a, b, s1, s2, rho, seed)
+            else:
+                assert (plan.n, plan.n_prime) == (split, n_max), (a, b, s1, s2, rho, seed)
+
     def test_pooled_plan_majority_and_median(self):
         a = np.array([2.0, 2.1, 1.9, 2.0])
         b = np.ones(4)
