@@ -21,16 +21,17 @@ immediate payoff and the mean discounted cashflow.
 
 from __future__ import annotations
 
+import math
+import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError
 from .kernels import (
@@ -46,16 +47,16 @@ from .ratio import M2_MAX_ITER, QuotientPlan, pooled_plan
 from .rng import replication_seed
 from .weights import path_weights
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    def threadpool_limits(limits=None):
-        return nullcontext()
-
 MCM_METHODS = ("P1", "P2eq", "P2opt")
 PILOT_QUERIES = 512
 PILOT_SAMPLES = 4096
-QUERY_BLOCK = 1024
+# Kernel tiles of QUERY_TILE queries x SAMPLE_TILE samples: 1 MiB of float64
+# stays in a core's L2 cache from its build to its product, and rows of 4096
+# or more samples keep numpy's broadcast comparisons (raw kernel) fast
+QUERY_TILE = 32
+SAMPLE_TILE = 4096
+# Thread counts that OpenBLAS, OpenMP and MKL read when they load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +118,17 @@ class PriceEstimate:
 class _DateKernel:
     """The kernel K_x of one exercise date, for every in-the-money query x.
 
-    ``rows(lo, hi, m, out)`` writes K for queries lo..hi-1 against the first m
-    samples into ``out`` and returns it: exp(U V^T) for the conditioned
-    estimator, the indicator 1{S_s >= x} for the raw one, whose per-sample
-    weight Gamma / prod S_s is ``weight``.  ``closed_b`` is the closed-form
-    denominator (P1) and ``closed_s2`` the closed-form denominator std (closed
-    calibration); a denominator at or below ``floor`` is degenerate.
+    ``rows(lo, hi, s_lo, s_hi, out)`` writes K for queries lo..hi-1 against
+    samples s_lo..s_hi-1 into ``out`` (shape (hi-lo, s_hi-s_lo)) and returns
+    it: exp(U V^T) for the conditioned estimator, the indicator 1{S_s >= x}
+    for the raw one, whose per-sample weight Gamma / prod S_s is ``weight``.
+    ``closed_b`` is the closed-form denominator (P1) and ``closed_s2`` the
+    closed-form denominator std (closed calibration); a denominator at or
+    below ``floor`` is degenerate.
     """
 
     n_queries: int
-    rows: Callable[[int, int, int, np.ndarray], np.ndarray]
+    rows: Callable[[int, int, int, int, np.ndarray], np.ndarray]
     weight: np.ndarray | None
     closed_b: np.ndarray | None
     closed_s2: np.ndarray | None
@@ -154,8 +156,8 @@ def _conditioned_kernel(
             e2 = kernel_second_moment(params, x_itm)
             closed_s2 = np.sqrt(np.maximum(e2 - closed_b**2, 0.0))
 
-    def rows(lo, hi, m, out):
-        np.matmul(u[lo:hi], vt[:, :m], out=out)
+    def rows(lo, hi, s_lo, s_hi, out):
+        np.matmul(u[lo:hi], vt[:, s_lo:s_hi], out=out)
         return np.exp(out, out=out)
 
     return _DateKernel(len(u), rows, None, closed_b, closed_s2, 1e-300)
@@ -163,7 +165,7 @@ def _conditioned_kernel(
 
 def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
     """Raw weighted-indicator kernel at date k; the closed denominator needs diagonal vol."""
-    s_k = paths.s[:, k, :]
+    s_t = np.ascontiguousarray(paths.s[:, k, :].T)
     w = path_weights(paths, k, k + 1)
     closed_b = None
     if method == "P1":
@@ -171,64 +173,81 @@ def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _D
         scale = params.sigma * params.s * (params.t - params.s)
         closed_b = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
 
-    def rows(lo, hi, m, out):
-        _indicator_block(s_k[:m], x_itm[lo:hi], out=out)
+    def rows(lo, hi, s_lo, s_hi, out):
+        # out[q, p] = 1.0 if S_s^p >= x_q componentwise
+        x = x_itm[lo:hi]
+        acc = s_t[0, s_lo:s_hi] >= x[:, 0, None]
+        for j in range(1, len(s_t)):
+            acc &= s_t[j, s_lo:s_hi] >= x[:, j, None]
+        np.copyto(out, acc)
         return out
 
     return _DateKernel(len(x_itm), rows, w, closed_b, None, 1e-12 * float(np.mean(np.abs(w))))
 
 
-def _indicator_block(s_k: np.ndarray, x_blk: np.ndarray, out: np.ndarray) -> None:
-    """out[q, p] = 1.0 if S_s^p >= x_q componentwise."""
-    nb = len(x_blk)
-    acc = s_k[None, :, 0] >= x_blk[:, 0][:, None]
-    for j in range(1, s_k.shape[1]):
-        acc &= s_k[None, :, j] >= x_blk[:, j][:, None]
-    out[:nb] = acc
+def _tile_sums(
+    kern: _DateKernel, n_q: int, m: int, rhs: np.ndarray, rhs_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """K @ rhs, and (K * K) @ rhs_sq when given, for queries 0..n_q-1 over samples 0..m-1.
 
-
-def _pilot_moments(kn: np.ndarray, cf: np.ndarray):
-    """Per-query first/second moments of X = cf*K and Y = K over the columns."""
-    m = kn.shape[1]
-    rhs = np.stack([cf, np.ones(m), cf * cf], axis=1)
-    first = kn @ rhs / m                       # E[X], E[Y], -
-    second = (kn * kn) @ rhs / m               # E[XY], E[Y^2], E[X^2]
-    a = first[:, 0]
-    b = first[:, 1]
-    var_x = np.maximum(second[:, 2] - a * a, 0.0)
-    var_y = np.maximum(second[:, 1] - b * b, 0.0)
-    cov = second[:, 0] - a * b
-    s1 = np.sqrt(var_x)
-    s2 = np.sqrt(var_y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = cov / (s1 * s2)
-    return a, b, s1, s2, rho
+    K is built one QUERY_TILE x SAMPLE_TILE tile at a time in one reused
+    buffer; each tile is multiplied by its rows of ``rhs``, then squared in
+    place and multiplied by its rows of ``rhs_sq``, and the products are
+    summed into per-query accumulators.
+    """
+    sums = np.zeros((n_q, rhs.shape[1]))
+    sums_sq = None if rhs_sq is None else np.zeros((n_q, rhs_sq.shape[1]))
+    buf = np.empty(min(QUERY_TILE, n_q) * min(SAMPLE_TILE, m))
+    for lo in range(0, n_q, QUERY_TILE):
+        hi = min(lo + QUERY_TILE, n_q)
+        for s_lo in range(0, m, SAMPLE_TILE):
+            s_hi = min(s_lo + SAMPLE_TILE, m)
+            tile = buf[: (hi - lo) * (s_hi - s_lo)].reshape(hi - lo, s_hi - s_lo)
+            kern.rows(lo, hi, s_lo, s_hi, tile)
+            sums[lo:hi] += tile @ rhs[s_lo:s_hi]
+            if rhs_sq is not None:
+                sums_sq[lo:hi] += np.square(tile, out=tile) @ rhs_sq[s_lo:s_hi]
+    return sums, sums_sq
 
 
 def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: float) -> QuotientPlan:
     """Pooled sample-split plan for one exercise date (P2opt only).
 
-    The pilot kernel rows (the first PILOT_QUERIES queries against the first
-    PILOT_SAMPLES samples) are normalised to unit denominator mean: the closed
-    form under closed calibration, otherwise the simulated mean of |K|, which
-    stays positive under the raw estimator's signed weights.  The split plan
-    is invariant under that joint rescaling of X and Y, and kernel products
-    can sit at 1e-30 in high dimension, far below any absolute floor.
+    The pilot takes the first PILOT_QUERIES queries against the first
+    PILOT_SAMPLES samples, with X = cf * w * K and Y = w * K (w the
+    per-sample weight, 1 when conditioned).  Its moments are normalised to
+    unit denominator mean: the closed form under closed calibration,
+    otherwise the simulated mean of |w K|, which stays positive under the raw
+    estimator's signed weights.  The split plan is invariant under that joint
+    rescaling of X and Y, and kernel products can sit at 1e-30 in high
+    dimension, far below any absolute floor.  The rescaling acts on the
+    per-query moments, so the pilot rows are never copied.
     """
     n = len(cf)
     nq = min(PILOT_QUERIES, kern.n_queries)
     m = min(PILOT_SAMPLES, n)
-    kmat = kern.rows(0, nq, m, np.empty((nq, m)))
-    if kern.weight is not None:
-        kmat *= kern.weight[:m]
+    w = np.ones(m) if kern.weight is None else kern.weight[:m]
+    cfw = cf[:m] * w
+    first, second = _tile_sums(kern, nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
+                               np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
     closed = calibration == "closed" and kern.closed_s2 is not None
-    scale = kern.closed_b[:nq] if closed else np.mean(np.abs(kmat), axis=1)
+    scale = kern.closed_b[:nq] if closed else first[:, 2]
     good = scale > 0.0
-    kmat = np.where(good[:, None], kmat / np.where(good, scale, 1.0)[:, None], 0.0)
-    a, b, s1, s2, rho = _pilot_moments(kmat, cf[:m])
+    safe = np.where(good, scale, 1.0)
+
+    def unit(v):
+        # per-query moment of K / scale; 0 for a query without scale
+        return np.where(good, v / safe, 0.0)
+
+    a, b = unit(first[:, 0]), unit(first[:, 1])
+    exy, ey2, ex2 = (unit(unit(col)) for col in second.T)
+    s1 = np.sqrt(np.maximum(ex2 - a * a, 0.0))
+    s2 = np.sqrt(np.maximum(ey2 - b * b, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (exy - a * b) / (s1 * s2)
     if closed:
         b = np.where(good, 1.0, 0.0)
-        s2 = np.where(good, kern.closed_s2[:nq] / np.where(good, scale, 1.0), 0.0)
+        s2 = unit(kern.closed_s2[:nq])
         return pooled_plan(a, b, s1, s2, rho, n, b_closed_form=True)
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
@@ -236,11 +255,13 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
     # fixed point: re-estimate the split-dependent mean on lambda * m samples
     lam = plan.lam
     for _ in range(M2_MAX_ITER):
-        msub = max(2, round(lam * m))
+        msub = min(m, max(2, round(lam * m)))
+        col = cfw if plan.regime == "case1" else w
+        mean = unit(_tile_sums(kern, nq, msub, col[:msub, None] / msub)[0][:, 0])
         if plan.regime == "case1":
-            a = kmat[:, :msub] @ cf[:msub] / msub
+            a = mean
         else:
-            b = kmat[:, :msub].mean(axis=1)
+            b = mean
         new = pooled_plan(a, b, s1, s2, rho, n)
         if abs(new.lam - lam) < m2_eps:
             return new
@@ -250,27 +271,20 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
 
 
 def _kernel_sums(
-    kern: _DateKernel, cf: np.ndarray, n_num: int, n_den: int, buf: np.ndarray
+    kern: _DateKernel, cf: np.ndarray, n_num: int, n_den: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator means of every query of one date.
 
     The numerator averages cf * weight * K over the first n_num samples, the
-    denominator weight * K over the first n_den; queries go through ``buf``
-    (QUERY_BLOCK x n) one block at a time.
+    denominator weight * K over the first n_den.
     """
-    n = len(cf)
-    w = np.ones(n) if kern.weight is None else kern.weight
-    rhs = np.zeros((n, 2))
+    m = max(n_num, n_den)
+    w = np.ones(m) if kern.weight is None else kern.weight
+    rhs = np.zeros((m, 2))
     rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
     rhs[:n_den, 1] = w[:n_den] / n_den
-    num = np.empty(kern.n_queries)
-    den = np.empty(kern.n_queries)
-    for lo in range(0, kern.n_queries, QUERY_BLOCK):
-        hi = min(lo + QUERY_BLOCK, kern.n_queries)
-        nd = kern.rows(lo, hi, n, buf[: hi - lo]) @ rhs
-        num[lo:hi] = nd[:, 0]
-        den[lo:hi] = nd[:, 1]
-    return num, den
+    sums, _ = _tile_sums(kern, kern.n_queries, m, rhs)
+    return sums[:, 0], sums[:, 1]
 
 
 def _mcm_sweep(
@@ -295,7 +309,6 @@ def _mcm_sweep(
 
     cf = np.exp(-r * dates[-1]) * payoff(paths.s[:, -1, :])
     fallbacks = 0
-    buf = np.empty((QUERY_BLOCK, n))
 
     for k in range(paths.grid.n_steps - 1, 0, -1):
         s_k = paths.s[:, k, :]
@@ -311,7 +324,7 @@ def _mcm_sweep(
         if method == "P2opt":
             plan = _date_plan(kern, cf, calibration, m2_eps)
             n_num, n_den = plan.n_prime, plan.n
-        num, den = _kernel_sums(kern, cf, n_num, n_den, buf)
+        num, den = _kernel_sums(kern, cf, n_num, n_den)
         if method == "P1":
             den = kern.closed_b
         bad = ~(den > kern.floor)
@@ -377,9 +390,29 @@ def _one_replication(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths,
     """Simulate replication ``rep`` and run ``sweep(paths, payoff)`` on it."""
     vol = build_vol(payoff.dim, vol_spec, rate=r)
     grid = TimeGrid(maturity, n_steps)
-    with threadpool_limits(limits=1):
-        paths = simulate_paths(vol, grid, s0, r, n_paths, replication_seed(seed, rep))
-        return sweep(paths, payoff)
+    paths = simulate_paths(vol, grid, s0, r, n_paths, replication_seed(seed, rep))
+    return sweep(paths, payoff)
+
+
+@contextmanager
+def _worker_blas_threads(n_workers: int):
+    """Set the BLAS thread variables to max(1, cores // n_workers), then restore them.
+
+    BLAS libraries read these variables when they load, so processes started
+    inside the block share the cores without oversubscribing them, while
+    this process keeps the threads it loaded with.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(max(1, cores // n_workers))))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _replicate(
@@ -389,14 +422,17 @@ def _replicate(
 
     ``sweep`` is a picklable partial of _mcm_sweep or _ls_sweep.  Replication
     i simulates from replication_seed(seed, i), so the values are a pure
-    function of (seed, parameters), independent of n_workers.
+    function of (seed, parameters), independent of n_workers.  Serial runs
+    keep BLAS threading as installed; the workers of a pool split the cores.
     """
     t0 = time.perf_counter()
     job = partial(_one_replication, sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed)
     if n_workers <= 1 or replications == 1:
         out = [job(i) for i in range(replications)]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=get_context("spawn")) as pool:
+        with _worker_blas_threads(n_workers), ProcessPoolExecutor(
+            max_workers=n_workers, mp_context=get_context("spawn")
+        ) as pool:
             out = list(pool.map(job, range(replications)))
     values = tuple(v for v, _ in out)
     fallbacks = sum(f for _, f in out)
@@ -522,7 +558,12 @@ def lognormal_conditional_put(x: float, strike: float, r: float, sigma: float, d
     """Exact E[(K - S_t)_+ | S_s = x] for the 1D lognormal with drift r."""
     d1 = (np.log(x / strike) + (r + 0.5 * sigma**2) * dt) / (sigma * np.sqrt(dt))
     d2 = d1 - sigma * np.sqrt(dt)
-    return float(strike * norm.cdf(-d2) - x * np.exp(r * dt) * norm.cdf(-d1))
+    return float(strike * _norm_cdf(-d2) - x * np.exp(r * dt) * _norm_cdf(-d1))
+
+
+def _norm_cdf(z: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def conditional_expectation_check(

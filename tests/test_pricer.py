@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mcmpricer
 
 from mcmpricer import (
     DiagonalKernelParams,
@@ -25,6 +31,7 @@ from mcmpricer import (
 from mcmpricer import pricer
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError
 from mcmpricer.pricer import _ls_sweep, _mcm_sweep, tree_converged
+from mcmpricer.ratio import M2_MAX_ITER, pooled_plan
 
 from conftest import BENCH_RATE
 
@@ -103,8 +110,9 @@ class TestSweepIdentities:
 
 class TestEngine:
     def test_rows_and_quotients_match_single_query_references(self, tri_vol_2d, monkeypatch):
-        # two-query blocks, so five queries take three passes of the block loop
-        monkeypatch.setattr(pricer, "QUERY_BLOCK", 2)
+        # 2 x 1000 tiles: five queries and 2^12 samples cross both tile axes, ragged at the end
+        monkeypatch.setattr(pricer, "QUERY_TILE", 2)
+        monkeypatch.setattr(pricer, "SAMPLE_TILE", 1000)
         payoff = Payoff("geometric_put", 2, 100.0)
         diag = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=85)
         tri = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=86)
@@ -121,19 +129,59 @@ class TestEngine:
                 kern = pricer._conditioned_kernel(paths, k, x, "P2eq", "M1")
                 params = DiagonalKernelParams.from_model(paths.vol, 0.5, 0.75, BENCH_RATE, paths.s0)
                 expected = np.array([kernel_h(params, xi, paths.w_at_date(k + 1)) for xi in x])
-                np.testing.assert_allclose(kern.rows(0, 5, n, np.empty((5, n))), expected, rtol=1e-12)
+                rows = kern.rows(0, 5, 0, n, np.empty((5, n)))
+                np.testing.assert_allclose(rows, expected, rtol=1e-12)
             else:
                 kern = pricer._raw_kernel(paths, k, x, "P2eq")
                 ind = np.all(s_k[None, :, :] >= x[:, None, :], axis=-1)
-                rows = kern.rows(0, 5, n, np.empty((5, n)))
+                rows = kern.rows(0, 5, 0, n, np.empty((5, n)))
                 np.testing.assert_array_equal(rows * kern.weight, ind * path_weights(paths, k, k + 1))
-            num, den = pricer._kernel_sums(kern, g, n, n, np.empty((2, n)))
+            # a sub-range of queries and samples is the same slice of the rows
+            np.testing.assert_allclose(kern.rows(1, 4, 1000, 2500, np.empty((3, 1500))),
+                                       rows[1:4, 1000:2500], rtol=1e-14)
+            num, den = pricer._kernel_sums(kern, g, n, n)
             for i, xi in enumerate(x):
                 if conditioning:
                     ref_num, ref_den = conditioned_continuation(paths, k, k + 1, xi, g)
                 else:
                     ref_num, ref_den = raw_continuation(paths, k, k + 1, xi, g)
                 assert num[i] / den[i] == pytest.approx(ref_num / ref_den, rel=1e-12, abs=0.0)
+
+    def test_pilot_matches_normalised_matrix_reference(self, tri_vol_2d, monkeypatch):
+        # the copy-free pilot feeds pooled_plan the moments of the normalised pilot matrix
+        monkeypatch.setattr(pricer, "QUERY_TILE", 100)
+        monkeypatch.setattr(pricer, "SAMPLE_TILE", 1000)
+        calls = []
+
+        def recording_plan(*args, **kwargs):
+            calls.append(args[:5])
+            return pooled_plan(*args, **kwargs)
+
+        monkeypatch.setattr(pricer, "pooled_plan", recording_plan)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        diag = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=87)
+        tri = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=88)
+        k = 2
+        for paths, conditioning, calibration in ((diag, True, "closed"), (diag, True, "M1"),
+                                                 (diag, True, "M2"), (tri, False, "M1"),
+                                                 (tri, False, "M2")):
+            s_k = paths.s[:, k, :]
+            x = s_k[payoff(s_k) > 0.0]
+            cf = payoff(paths.s[:, -1, :])
+            if conditioning:
+                kern = pricer._conditioned_kernel(paths, k, x, "P2opt", calibration)
+            else:
+                kern = pricer._raw_kernel(paths, k, x, "P2opt")
+            calls.clear()
+            plan = pricer._date_plan(kern, cf, calibration, 1e-3)
+            ref_calls, ref_plan = _normalised_matrix_pilot(kern, cf, calibration, 1e-3)
+            assert (plan.regime, plan.n, plan.n_prime) == (ref_plan.regime, ref_plan.n, ref_plan.n_prime)
+            assert len(calls) == len(ref_calls)
+            if calibration == "M2":
+                assert len(calls) > 1
+            for got, want in zip(calls, ref_calls):
+                for g, w in zip(got, want):    # a, b, s1, s2, rho per query
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
     def test_raw_m2_iterates_the_plan(self, tri_vol_2d, monkeypatch):
         # the raw estimator runs the M2 fixed point: more than one plan per date
@@ -192,6 +240,76 @@ class TestEngine:
             price_mcm(payoff, vol_spec, 1.0, 4, 100.0, BENCH_RATE, 2**10, seed=3, method=method,
                       conditioning=conditioning, replications=1, n_workers=1)
             assert expected <= set(called), (method, conditioning, dict(called))
+
+
+def _normalised_matrix_pilot(kern, cf, calibration, m2_eps):
+    """Reference pilot: moments of a normalised copy of the weighted pilot matrix.
+
+    Returns the (a, b, s1, s2, rho) of every pooled_plan call and the final plan.
+    """
+    n = len(cf)
+    nq = min(pricer.PILOT_QUERIES, kern.n_queries)
+    m = min(pricer.PILOT_SAMPLES, n)
+    kmat = kern.rows(0, nq, 0, m, np.empty((nq, m)))
+    if kern.weight is not None:
+        kmat *= kern.weight[:m]
+    closed = calibration == "closed" and kern.closed_s2 is not None
+    scale = kern.closed_b[:nq] if closed else np.mean(np.abs(kmat), axis=1)
+    good = scale > 0.0
+    kn = np.where(good[:, None], kmat / np.where(good, scale, 1.0)[:, None], 0.0)
+    rhs = np.stack([cf[:m], np.ones(m), cf[:m] ** 2], axis=1)
+    a, b, _ = (kn @ rhs / m).T
+    exy, ey2, ex2 = ((kn * kn) @ rhs / m).T
+    s1 = np.sqrt(np.maximum(ex2 - a * a, 0.0))
+    s2 = np.sqrt(np.maximum(ey2 - b * b, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (exy - a * b) / (s1 * s2)
+    if closed:
+        b = np.where(good, 1.0, 0.0)
+        s2 = np.where(good, kern.closed_s2[:nq] / np.where(good, scale, 1.0), 0.0)
+        return [(a, b, s1, s2, rho)], pooled_plan(a, b, s1, s2, rho, n, b_closed_form=True)
+    calls = [(a, b, s1, s2, rho)]
+    plan = pooled_plan(a, b, s1, s2, rho, n)
+    if calibration != "M2":
+        return calls, plan
+    lam = plan.lam
+    for _ in range(M2_MAX_ITER):
+        msub = max(2, round(lam * m))
+        if plan.regime == "case1":
+            a = kn[:, :msub] @ cf[:msub] / msub
+        else:
+            b = kn[:, :msub].mean(axis=1)
+        calls.append((a, b, s1, s2, rho))
+        new = pooled_plan(a, b, s1, s2, rho, n)
+        if abs(new.lam - lam) < m2_eps:
+            return calls, new
+        lam = new.lam
+        plan = new
+    return calls, plan
+
+
+class TestTooling:
+    def test_import_leaves_scipy_out(self):
+        # a light import keeps set-up and the start-up of every spawn worker short
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        code = "import sys, mcmpricer; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
+    def test_worker_blas_threads_split_the_cores_and_restore(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        for n_workers, threads in ((1, str(cores)), (cores, "1"), (cores + 3, "1")):
+            with pytest.raises(RuntimeError):
+                with pricer._worker_blas_threads(n_workers):
+                    assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == [threads] * 3
+                    raise RuntimeError
+            assert os.environ["OMP_NUM_THREADS"] == "7"
+            assert "OPENBLAS_NUM_THREADS" not in os.environ
+            assert "MKL_NUM_THREADS" not in os.environ
 
 
 class TestPriceMcm:
