@@ -161,7 +161,7 @@ class AssetPaths:
     ``w`` holds the Brownian vector at every union time (exercise dates plus
     vol breakpoints); ``s`` holds asset values at exercise dates only.
     ``y`` (optional) holds the accumulated integrals Y_ij = int sigma_ij dW^j
-    at exercise dates, stored only when the vol is not diagonal.
+    at exercise dates; it is None unless the simulation was asked to store it.
     Immutable after construction and safe to share across workers.
     """
 
@@ -207,7 +207,7 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     brownian_scale: float = 1.0,
-    store_y: bool | None = None,
+    store_y: bool = False,
 ) -> AssetPaths:
     """Simulate asset paths with exact per-interval log-space increments.
 
@@ -219,7 +219,8 @@ def simulate_paths(
     n_paths, seed : sample size and master seed.  The output is a pure
         function of (seed, parameters).
     brownian_scale : test hook; 0.0 freezes every Brownian increment at zero.
-    store_y : force storing the Y integrals (default: only for non-diagonal vol).
+    store_y : store the Y integrals in ``AssetPaths.y`` (d x d floats per path and
+        exercise date).  The pricer does not read them, so the default is off.
     """
     d = vol.dim
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), (d,)).copy()
@@ -231,8 +232,6 @@ def simulate_paths(
     union = vol.union_times(grid)
     n_union = len(union) - 1
     ex_idx = np.searchsorted(union, grid.dates)
-    if store_y is None:
-        store_y = not vol.is_diagonal
 
     n_ex = grid.n_steps + 1
     w = np.empty((n_paths, n_union + 1, d))
@@ -255,7 +254,7 @@ def simulate_paths(
         nb = hi - lo
         wb = np.zeros((nb, d))
         log_sb = np.tile(log_s0, (nb, 1))
-        yb = np.zeros((nb, d, d))
+        yb = np.zeros((nb, d, d)) if store_y else None
         w[lo:hi, 0, :] = 0.0
         s[lo:hi, 0, :] = s0
         if store_y:

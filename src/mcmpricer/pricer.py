@@ -25,11 +25,9 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -101,7 +99,12 @@ def evaluate_payoff(payoff: Payoff, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriceEstimate:
-    """Replicated price with its spread and diagnostics."""
+    """Replicated price with its spread and diagnostics.
+
+    ``price`` is the mean of the R replication ``values``.  ``std`` is their
+    population standard deviation (ddof = 0): the spread of one replication,
+    not the standard error of ``price``, which is std / sqrt(R - 1).
+    """
 
     price: float
     std: float
@@ -430,6 +433,10 @@ def _replicate(
     if n_workers <= 1 or replications == 1:
         out = [job(i) for i in range(replications)]
     else:
+        # imported here: serial calls, and an import of the package, never load them
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with _worker_blas_threads(n_workers), ProcessPoolExecutor(
             max_workers=n_workers, mp_context=get_context("spawn")
         ) as pool:
@@ -517,7 +524,12 @@ def geometric_equivalent_1d(dim: int, sigma: float) -> tuple[float, float]:
 def tree_american_put(
     s0: float, strike: float, r: float, q: float, sigma: float, maturity: float, n_tree_steps: int
 ) -> float:
-    """CRR binomial value of an American put with a continuous yield."""
+    """CRR binomial value of an American put with a continuous yield.
+
+    Node j of step i holds the asset (s0 up^(i-j)) dn^j.  The powers are
+    taken once, so each backward step costs O(i) multiplies and no ``pow``;
+    the values are bitwise those of taking the powers at every step.
+    """
     dt = maturity / n_tree_steps
     up = np.exp(sigma * np.sqrt(dt))
     dn = 1.0 / up
@@ -525,12 +537,22 @@ def tree_american_put(
     if not 0.0 < p < 1.0:
         raise ValueError(f"tree step too coarse: risk-neutral p={p:.4f} outside (0,1)")
     disc = np.exp(-r * dt)
-    j = np.arange(n_tree_steps + 1)
-    vals = np.maximum(strike - s0 * up ** (n_tree_steps - j) * dn**j, 0.0)
+    k = np.arange(n_tree_steps + 1)
+    s_up = s0 * up**k
+    dn_pow = dn**k
+    vals = np.maximum(strike - s_up[::-1] * dn_pow, 0.0)
+    down = np.empty(n_tree_steps)
+    exercise = np.empty(n_tree_steps)
     for i in range(n_tree_steps - 1, -1, -1):
-        st = s0 * up ** (i - np.arange(i + 1)) * dn ** np.arange(i + 1)
-        vals = disc * (p * vals[:-1] + (1.0 - p) * vals[1:])
-        np.maximum(vals, strike - st, out=vals)
+        v, b, x = vals[: i + 1], down[: i + 1], exercise[: i + 1]
+        # (1 - p) * vals[j + 1] before vals[j] is overwritten
+        np.multiply(1.0 - p, vals[1 : i + 2], out=b)
+        np.multiply(p, v, out=v)
+        np.add(v, b, out=v)
+        np.multiply(disc, v, out=v)
+        np.multiply(s_up[i::-1], dn_pow[: i + 1], out=x)
+        np.subtract(strike, x, out=x)
+        np.maximum(v, x, out=v)
     return float(vals[0])
 
 

@@ -119,6 +119,13 @@ class TestSimulation:
         expected = np.array([0.2, 0.3]) * dw1 + np.array([0.4, 0.1]) * dw2
         np.testing.assert_allclose(paths.y[:, -1, [0, 1], [0, 1]], expected, atol=1e-12)
 
+    def test_y_stored_only_on_request(self, tri_vol_2d):
+        args = (tri_vol_2d, TimeGrid(1.0, 3), 100.0, BENCH_RATE, 1000, 6)
+        lean, full = simulate_paths(*args), simulate_paths(*args, store_y=True)
+        assert lean.y is None and full.y is not None
+        assert lean.w.tobytes() == full.w.tobytes()
+        assert lean.s.tobytes() == full.s.tobytes()
+
 
 class TestRngStreams:
     def test_splitmix_reference_values(self):

@@ -290,12 +290,14 @@ def _normalised_matrix_pilot(kern, cf, calibration, m2_eps):
 
 class TestTooling:
     def test_import_leaves_scipy_out(self):
-        # a light import keeps set-up and the start-up of every spawn worker short
+        # a light import keeps set-up and the start-up of every spawn worker short;
+        # only a call that starts a process pool loads the pool's modules
         env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
-        code = "import sys, mcmpricer; print('scipy' in sys.modules)"
+        modules = ["scipy", "multiprocessing", "concurrent.futures.process"]
+        code = f"import sys, mcmpricer; print([m for m in {modules!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_worker_blas_threads_split_the_cores_and_restore(self, monkeypatch):
         cores = len(os.sched_getaffinity(0))
@@ -380,7 +382,45 @@ class TestPriceLs:
         assert abs(pm30.price - pm10.price) <= abs(pl30.price - pl10.price)
 
 
+def _tree_pow_loop(s0, strike, r, q, sigma, maturity, n_tree_steps):
+    """The CRR tree taking up^(i-j) and dn^j afresh at every backward step."""
+    dt = maturity / n_tree_steps
+    up = np.exp(sigma * np.sqrt(dt))
+    dn = 1.0 / up
+    p = (np.exp((r - q) * dt) - dn) / (up - dn)
+    disc = np.exp(-r * dt)
+    j = np.arange(n_tree_steps + 1)
+    vals = np.maximum(strike - s0 * up ** (n_tree_steps - j) * dn**j, 0.0)
+    for i in range(n_tree_steps - 1, -1, -1):
+        st = s0 * up ** (i - np.arange(i + 1)) * dn ** np.arange(i + 1)
+        vals = disc * (p * vals[:-1] + (1.0 - p) * vals[1:])
+        np.maximum(vals, strike - st, out=vals)
+    return float(vals[0])
+
+
 class TestTreeOracle:
+    @pytest.mark.parametrize("dim,n_tree_steps", [(d, n) for d in (1, 5, 10) for n in (5000, 10000)])
+    def test_geometric_equivalents_bitwise_equal_to_pow_loop(self, dim, n_tree_steps):
+        sig_g, q = geometric_equivalent_1d(dim, 0.2)
+        args = (100.0, 100.0, BENCH_RATE, q, sig_g, 1.0, n_tree_steps)
+        assert tree_american_put(*args) == _tree_pow_loop(*args)
+
+    @pytest.mark.parametrize("strike,q,sigma,n_tree_steps", [
+        (110.0, 0.03, 0.9, 2000),  # nonzero yield, high vol
+        (1000.0, 0.0, 0.2, 2000),  # deep in the money: exercise at every node
+        (100.0, 0.0, 0.2, 1),
+        (100.0, 0.0, 0.2, 2),
+        (105.0, 0.01, 0.3, 3),
+    ])
+    def test_edge_configs_bitwise_equal_to_pow_loop(self, strike, q, sigma, n_tree_steps):
+        args = (100.0, strike, BENCH_RATE, q, sigma, 1.0, n_tree_steps)
+        assert tree_american_put(*args) == _tree_pow_loop(*args)
+
+    @pytest.mark.parametrize("q,sigma", [(0.0, 0.01), (1.0, 0.2)])  # p > 1, then p < 0
+    def test_coarse_step_rejected(self, q, sigma):
+        with pytest.raises(ValueError, match="outside"):
+            tree_american_put(100.0, 100.0, BENCH_RATE, q, sigma, 1.0, 1)
+
     @pytest.mark.parametrize("dim,target", [(1, 4.918), (5, 1.583), (10, 0.890)])
     def test_reference_values(self, dim, target):
         value = price_tree_1d(dim, 100.0, 100.0, BENCH_RATE, 0.2, 1.0, 5000)
