@@ -29,7 +29,6 @@ from .ratio import (
     calibrate_m1,
     calibrate_m2,
     optimal_plan,
-    quotient_estimate,
     sigma1_of_lambda,
     sigma2_of_lambda,
     stats_from_samples,
@@ -78,7 +77,6 @@ __all__ = [
     "price_ls",
     "price_mcm",
     "price_tree_1d",
-    "quotient_estimate",
     "raw_continuation",
     "replication_seed",
     "run",

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -199,26 +200,17 @@ def sweep(config: RunConfig, axes: dict[str, list]) -> PriceTable:
     if bad:
         raise ConfigError(sorted(bad)[0], f"sweep axes limited to {SWEEP_AXES}")
     names = [a for a in SWEEP_AXES if a in axes]
+    fields = ["n_steps" if n == "steps" else n for n in names]
     table = PriceTable()
-
-    def recurse(i: int, cfg: RunConfig) -> None:
-        if i == len(names):
-            try:
-                cfg.validate()
-                cell = _run_cell(cfg)
-            except (McmPricerError, ValueError) as exc:
-                table.failures.append({
-                    "cell": {n: getattr(cfg, "n_steps" if n == "steps" else n) for n in names},
-                    "error": str(exc),
-                })
-                return
-            table.add(**{k: v for k, v in cell.items() if k in TABLE_COLUMNS})
-            return
-        for value in axes[names[i]]:
-            fld = "n_steps" if names[i] == "steps" else names[i]
-            recurse(i + 1, replace(cfg, **{fld: value}))
-
-    recurse(0, config)
+    for values in product(*(axes[n] for n in names)):
+        cfg = replace(config, **dict(zip(fields, values)))
+        try:
+            cfg.validate()
+            cell = _run_cell(cfg)
+        except (McmPricerError, ValueError) as exc:
+            table.failures.append({"cell": dict(zip(names, values)), "error": str(exc)})
+            continue
+        table.add(**{k: v for k, v in cell.items() if k in TABLE_COLUMNS})
     table.sort()
     return table
 

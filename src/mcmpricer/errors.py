@@ -37,10 +37,6 @@ class DenominatorMeanNearZeroError(McmPricerError, ArithmeticError):
     """Quotient statistics have |E(Y)| below the usable floor."""
 
 
-class DenominatorSampleNearZeroError(McmPricerError, ArithmeticError):
-    """Sample denominator mean too close to zero for a quotient estimate."""
-
-
 class DimensionMismatchError(McmPricerError, ValueError):
     """Payoff dimensionality does not match the supplied asset vector."""
 

@@ -41,7 +41,7 @@ from .kernels import (
     sample_features,
 )
 from .market_model import AssetPaths, TimeGrid, build_vol, simulate_paths
-from .ratio import M2_MAX_ITER, QuotientPlan, pooled_plan
+from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import replication_seed
 from .weights import path_weights
 
@@ -251,26 +251,24 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
     if closed:
         b = np.where(good, 1.0, 0.0)
         s2 = unit(kern.closed_s2[:nq])
-        return pooled_plan(a, b, s1, s2, rho, n, b_closed_form=True)
+        return pooled_plan(a, b, s1, s2, rho, n)
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
         return plan
-    # fixed point: re-estimate the split-dependent mean on lambda * m samples
-    lam = plan.lam
-    for _ in range(M2_MAX_ITER):
-        msub = min(m, max(2, round(lam * m)))
+
+    def replan(plan):
+        # re-estimate the split-dependent mean on the first lambda * m samples
+        nonlocal a, b
+        msub = min(m, max(2, round(plan.lam * m)))
         col = cfw if plan.regime == "case1" else w
         mean = unit(_tile_sums(kern, nq, msub, col[:msub, None] / msub)[0][:, 0])
         if plan.regime == "case1":
             a = mean
         else:
             b = mean
-        new = pooled_plan(a, b, s1, s2, rho, n)
-        if abs(new.lam - lam) < m2_eps:
-            return new
-        lam = new.lam
-        plan = new
-    return plan
+        return pooled_plan(a, b, s1, s2, rho, n)
+
+    return m2_fixed_point(plan, replan, m2_eps)
 
 
 def _kernel_sums(

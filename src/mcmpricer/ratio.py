@@ -15,13 +15,13 @@ at rho = 0 the optimal split is one half.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DenominatorMeanNearZeroError, DenominatorSampleNearZeroError
+from .errors import DenominatorMeanNearZeroError
 
-SQRT13_THRESHOLD = (np.sqrt(13.0) - 3.0) / 2.0
 M2_MAX_ITER = 50
 
 
@@ -56,16 +56,10 @@ class QuotientPlan:
     regime: str                 # "case1" (N' = lambda N) or "case2" (N = lambda N')
     lam: float
     sigma: float                # predicted asymptotic variance at lam
-    procedure: str              # "P1" (closed denominator) or "P2" (simulated)
     n: int                      # denominator sample count
     n_prime: int                # numerator sample count
     stats: QuotientStats
     converged: bool = True
-
-    @property
-    def n_eff(self) -> int:
-        """Shared pair count carrying the asymptotic rate."""
-        return min(self.n, self.n_prime)
 
 
 def stats_from_samples(xs: np.ndarray, ys: np.ndarray) -> QuotientStats:
@@ -115,124 +109,101 @@ def lambda_min(stats: QuotientStats, case1: bool) -> float:
     return 0.5 + corr
 
 
-def p2_preferred(stats: QuotientStats, case1: bool, exact: bool = True) -> bool:
+def p2_preferred(stats: QuotientStats, case1: bool) -> bool:
     """Correlation condition under which the all-simulated quotient beats
     the closed-denominator estimator.
 
     With q = A sigma2 / (B sigma1), the split-optimal variance drops below
     sigma1^2 / B^2 exactly when rho > q (sqrt(2) - 1) in case 1 and
     rho > sqrt(2) - 1/q in case 2 (solve B^2 Sigma(lambda_min) - sigma1^2 < 0
-    as a quadratic in rho).  ``exact=False`` switches to the looser reference
-    constants ((sqrt(13) - 3) / 2 form), which overstate the preference for
-    the simulated denominator near the boundary.  Either threshold can exceed
-    1, making the condition unsatisfiable.
+    as a quadratic in rho).  The paper's looser constant (sqrt(13) - 3) / 2
+    overstates the preference for the simulated denominator near the
+    boundary.  Either threshold can exceed 1, making the condition
+    unsatisfiable.
     """
-    a, b, s1, s2, rho = stats.a, stats.b, stats.sigma1, stats.sigma2, stats.rho
+    a, b, s1, s2 = stats.a, stats.b, stats.sigma1, stats.sigma2
     if b == 0.0 or s1 == 0.0 or a == 0.0 or s2 == 0.0:
         return False
-    if exact:
-        # direct comparison; robust to signed means, where the closed-form
-        # correlation thresholds above assume positive A and B
-        lam = float(np.clip(lambda_min(stats, case1), 0.0, 1.0))
-        sig = sigma1_of_lambda(stats, lam) if case1 else sigma2_of_lambda(stats, lam)
-        return b * b * sig - s1 * s1 < 0.0
-    q = abs(a * s2 / (b * s1))
-    if case1:
-        thr = q * SQRT13_THRESHOLD
-    else:
-        thr = (1.0 / q) * (np.sqrt(1.25 + 2.0 * q * q) - 1.5)
-    return thr < rho <= 1.0
+    # direct comparison; robust to signed means, where the closed-form
+    # correlation thresholds above assume positive A and B
+    lam = float(np.clip(lambda_min(stats, case1), 0.0, 1.0))
+    sig = sigma1_of_lambda(stats, lam) if case1 else sigma2_of_lambda(stats, lam)
+    return b * b * sig - s1 * s1 < 0.0
 
 
-def optimal_plan(stats: QuotientStats, n_max: int, b_closed_form: bool = False) -> QuotientPlan:
-    """Regime, clamped optimal lambda and procedure choice for one quotient.
+def optimal_plan(stats: QuotientStats, n_max: int) -> QuotientPlan:
+    """Regime and clamped optimal lambda for one quotient.
 
     The regime compares A^2 sigma2^2 with B^2 sigma1^2; lambda is clamped to
-    [1/n_max, 1] and resolved against n_max.  The procedure is "P2" whenever
-    the correlation condition holds, otherwise "P1" when the denominator mean
-    is available in closed form, otherwise "P2" regardless.
+    [1/n_max, 1] and resolved against n_max.
     """
     _check_b(stats)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     case1 = prefers_case1(stats)
-    return _resolve(stats, case1, lambda_min(stats, case1), n_max, b_closed_form)
+    return _resolve(stats, case1, lambda_min(stats, case1), n_max)
 
 
-def _resolve(
-    stats: QuotientStats, case1: bool, lam: float, n_max: int, b_closed_form: bool, converged: bool = True
-) -> QuotientPlan:
+def _resolve(stats: QuotientStats, case1: bool, lam: float, n_max: int) -> QuotientPlan:
     """The plan for a chosen regime and split: lambda clamped to [1/n_max, 1],
-    its predicted variance, the sample counts and the procedure."""
+    its predicted variance and the sample counts."""
     lam = float(np.clip(lam, 1.0 / n_max, 1.0))
     sigma = sigma1_of_lambda(stats, lam) if case1 else sigma2_of_lambda(stats, lam)
     if case1:
         n, n_prime = n_max, max(1, round(lam * n_max))
     else:
         n, n_prime = max(1, round(lam * n_max)), n_max
-    procedure = "P2" if p2_preferred(stats, case1) else ("P1" if b_closed_form else "P2")
     return QuotientPlan(
         regime="case1" if case1 else "case2",
-        lam=lam, sigma=float(sigma), procedure=procedure,
-        n=n, n_prime=n_prime, stats=stats, converged=converged,
+        lam=lam, sigma=float(sigma), n=n, n_prime=n_prime, stats=stats,
     )
 
 
-def quotient_estimate(xs: np.ndarray, ys: np.ndarray, plan: QuotientPlan) -> tuple[float, float]:
-    """Quotient of prefix means per the plan, with its delta-method std error.
+def m2_fixed_point(
+    plan: QuotientPlan, replan: Callable[[QuotientPlan], QuotientPlan], eps: float
+) -> QuotientPlan:
+    """The M2 fixed point: repeat plan = replan(plan) until lambda settles.
 
-    The numerator averages the first n' samples of xs and the denominator the
-    first n samples of ys; xs and ys are paired on shared indices.
+    ``replan`` re-estimates the split-dependent mean (A in case 1, B in
+    case 2) on lambda times the pilot's samples and returns the plan it
+    resolves to.  The first plan whose lambda moves by less than eps is
+    returned; after M2_MAX_ITER rounds, the last plan flagged converged=False.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < plan.n_prime or len(ys) < plan.n:
-        raise ValueError(f"plan needs {plan.n_prime} numerator and {plan.n} denominator samples")
-    num = float(np.mean(xs[: plan.n_prime]))
-    den = float(np.mean(ys[: plan.n]))
-    if abs(den) < plan.stats.eps_b:
-        raise DenominatorSampleNearZeroError(f"sample denominator {den:.3e} below floor")
-    stderr = float(np.sqrt(max(plan.sigma, 0.0) / plan.n_eff))
-    return num / den, stderr
+    for _ in range(M2_MAX_ITER):
+        new = replan(plan)
+        if abs(new.lam - plan.lam) < eps:
+            return new
+        plan = new
+    return replace(plan, converged=False)
 
 
-def calibrate_m1(sampler, n_max: int, b_closed_form: bool = False) -> QuotientPlan:
+def calibrate_m1(sampler, n_max: int) -> QuotientPlan:
     """One pilot pass over n_max sampled pairs, then the optimal plan."""
     xs, ys = sampler(n_max)
-    return optimal_plan(stats_from_samples(xs, ys), n_max, b_closed_form)
+    return optimal_plan(stats_from_samples(xs, ys), n_max)
 
 
-def calibrate_m2(sampler, n_max: int, eps: float, b_closed_form: bool = False) -> QuotientPlan:
+def calibrate_m2(sampler, n_max: int, eps: float) -> QuotientPlan:
     """Fixed-point calibration: re-simulate the lambda-dependent statistic.
 
-    Keeps every statistic from the full pilot pass except the one whose
-    estimate depends on the split (A in case 1, B in case 2), which is
-    re-sampled with lambda * n_max pairs each iteration until the fixed-point
-    residual |lambda - 1/2 - correction| drops below eps.  Hitting the
-    iteration cap returns the last iterate flagged converged=False.
+    Keeps every statistic and the regime of the full pilot pass; each round
+    re-samples the statistic whose estimate depends on the split (A in
+    case 1, B in case 2) with lambda * n_max pairs (see m2_fixed_point).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    xs, ys = sampler(n_max)
-    stats = stats_from_samples(xs, ys)
-    _check_b(stats)
-    case1 = prefers_case1(stats)
-    lam = float(np.clip(lambda_min(stats, case1), 1.0 / n_max, 1.0))
-    converged = False
-    for _ in range(M2_MAX_ITER):
-        n_sub = max(2, round(lam * n_max))
-        xs_i, ys_i = sampler(n_sub)
+    plan = calibrate_m1(sampler, n_max)
+    case1 = plan.regime == "case1"
+
+    def replan(plan):
+        xs, ys = sampler(max(2, round(plan.lam * n_max)))
         if case1:
-            stats = replace(stats, a=float(np.mean(xs_i)))
+            stats = replace(plan.stats, a=float(np.mean(xs)))
         else:
-            stats = replace(stats, b=float(np.mean(ys_i)))
-        _check_b(stats)
-        target = lambda_min(stats, case1)
-        if abs(lam - target) < eps:
-            converged = True
-            break
-        lam = float(np.clip(target, 1.0 / n_max, 1.0))
-    return _resolve(stats, case1, lam, n_max, b_closed_form, converged)
+            stats = replace(plan.stats, b=float(np.mean(ys)))
+        return _resolve(stats, case1, lambda_min(stats, case1), n_max)
+
+    return m2_fixed_point(plan, replan, eps)
 
 
 def pooled_plan(
@@ -242,7 +213,6 @@ def pooled_plan(
     sigma2: np.ndarray,
     rho: np.ndarray,
     n_max: int,
-    b_closed_form: bool = False,
 ) -> QuotientPlan:
     """One plan pooled over many query points.
 
@@ -259,7 +229,7 @@ def pooled_plan(
     ok = (np.abs(b) > 1e-10 * (1.0 + np.abs(a))) & (sigma1 > 0.0) & (sigma2 > 0.0)
     if not np.any(ok):
         stats = QuotientStats(1.0, 1.0, 0.0, 0.0, 0.0)
-        return QuotientPlan("case1", 1.0, 0.0, "P2", n_max, n_max, stats)
+        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max, stats)
     a, b, sigma1, sigma2, rho = (v[ok] for v in (a, b, sigma1, sigma2, rho))
     case1 = a**2 * sigma2**2 >= b**2 * sigma1**2
     majority_case1 = np.count_nonzero(case1) * 2 >= len(case1)
@@ -272,4 +242,4 @@ def pooled_plan(
         float(np.median(a[sel])), float(np.median(b[sel])),
         float(np.median(sigma1[sel])), float(np.median(sigma2[sel])), float(np.median(rho[sel])),
     )
-    return _resolve(med, majority_case1, float(np.median(lam_all)), n_max, b_closed_form)
+    return _resolve(med, majority_case1, float(np.median(lam_all)), n_max)

@@ -138,10 +138,10 @@ def gamma_bruteforce(pi: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return total
 
 
-def aggregate_gamma(pi: np.ndarray, cov: np.ndarray, diag_tol: float = 0.0) -> np.ndarray:
+def aggregate_gamma(pi: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Gamma with the diagonal-vol shortcut Gamma = prod_k pi^k when C is diagonal."""
     off = cov - np.diag(np.diagonal(cov))
-    if np.all(np.abs(off) <= diag_tol):
+    if not np.any(off):
         return np.prod(pi, axis=-1)
     return gamma_recursive(pi, cov)
 

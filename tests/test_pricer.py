@@ -214,6 +214,16 @@ class TestEngine:
             else:
                 assert len(plans_per_date) == 3 and max(plans_per_date) > 1
 
+    def test_m2_plan_flags_the_iteration_cap(self):
+        # eps = 0 is never met, so the fixed point stops at its cap; eps = 1 at the first round
+        payoff = Payoff("geometric_put", 2, 100.0)
+        paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=87)
+        s_k = paths.s[:, 2, :]
+        kern = pricer._conditioned_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt", "M2")
+        cf = payoff(paths.s[:, -1, :])
+        assert not pricer._date_plan(kern, cf, "M2", 0.0).converged
+        assert pricer._date_plan(kern, cf, "M2", 1.0).converged
+
     def test_layer_functions_are_looked_up_in_the_pricer(self, tri_vol_2d, monkeypatch):
         # an outside tracer swaps exactly these names in mcmpricer.pricer
         names = ("simulate_paths", "path_weights", "query_features", "sample_features",
@@ -267,7 +277,7 @@ def _normalised_matrix_pilot(kern, cf, calibration, m2_eps):
     if closed:
         b = np.where(good, 1.0, 0.0)
         s2 = np.where(good, kern.closed_s2[:nq] / np.where(good, scale, 1.0), 0.0)
-        return [(a, b, s1, s2, rho)], pooled_plan(a, b, s1, s2, rho, n, b_closed_form=True)
+        return [(a, b, s1, s2, rho)], pooled_plan(a, b, s1, s2, rho, n)
     calls = [(a, b, s1, s2, rho)]
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":

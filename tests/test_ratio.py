@@ -6,12 +6,10 @@ from mcmpricer import (
     calibrate_m1,
     calibrate_m2,
     optimal_plan,
-    quotient_estimate,
     sigma1_of_lambda,
     sigma2_of_lambda,
-    stats_from_samples,
 )
-from mcmpricer.errors import DenominatorMeanNearZeroError, DenominatorSampleNearZeroError
+from mcmpricer.errors import DenominatorMeanNearZeroError
 from mcmpricer.ratio import lambda_min, p2_preferred, pooled_plan, prefers_case1
 
 
@@ -124,50 +122,24 @@ class TestProcedureChoice:
 
     def test_loose_reference_constants_overreach(self):
         # between the reference threshold and the exact one the variance gain
-        # fails; this is why the exact constants are the default
+        # fails; this is why p2_preferred uses the exact constants
         s = QuotientStats(1.0, 1.0, 1.0, 1.0, 0.35)
         assert prefers_case1(s)
-        assert p2_preferred(s, True, exact=False)
-        assert not p2_preferred(s, True, exact=True)
+        assert s.rho > (np.sqrt(13.0) - 3.0) / 2.0    # the loose case-1 threshold at q = 1
+        assert not p2_preferred(s, True)
         lam = lambda_min(s, True)
         assert s.b**2 * sigma1_of_lambda(s, lam) - s.sigma1**2 > 0.0
 
     def test_unsatisfiable_threshold_defaults_to_p1(self):
         # with q = A s2/(B s1) > 1/(sqrt(2)-1) the case-1 threshold exceeds 1,
         # so even perfect correlation cannot make the split beat the closed
-        # denominator; the procedure falls back to P1 when B is closed-form
+        # denominator, and P1 stays the better estimator when B is closed-form
         s = QuotientStats(5.0, 1.0, 1.0, 1.0, 0.99)
         assert prefers_case1(s)
         assert not p2_preferred(s, True)
-        plan = optimal_plan(s, 100, b_closed_form=True)
-        assert plan.procedure == "P1"
-        plan = optimal_plan(s, 100, b_closed_form=False)
-        assert plan.procedure == "P2"
 
 
 class TestQuotientEstimate:
-    def test_identical_samples_give_one(self):
-        rng = np.random.default_rng(63)
-        xs = rng.normal(2.0, 1.0, 256)
-        plan = optimal_plan(stats_from_samples(xs, xs), n_max=256)
-        value, stderr = quotient_estimate(xs, xs, plan)
-        if plan.n == plan.n_prime:
-            assert value == 1.0
-        assert stderr >= 0.0
-
-    def test_boundary_plan_smoke(self):
-        rng = np.random.default_rng(64)
-        xs = rng.normal(1.0, 1.0, 64)
-        ys = rng.normal(2.0, 1.0, 64)
-        plan = optimal_plan(QuotientStats(1.0, 2.0, 1.0, 1.0, -1.0), n_max=64)
-        value, stderr = quotient_estimate(xs, ys, plan)
-        assert np.isfinite(value) and np.isfinite(stderr)
-
-    def test_sample_denominator_floor(self):
-        plan = optimal_plan(QuotientStats(1.0, 1.0, 1.0, 1.0, 0.0), n_max=4)
-        with pytest.raises(DenominatorSampleNearZeroError):
-            quotient_estimate(np.ones(4), np.zeros(4), plan)
-
     def test_stderr_matches_lambda_one_delta_method(self):
         # at lambda = 1 the prediction is the classic ratio delta method;
         # compare with the empirical variance of independent replications
@@ -214,6 +186,22 @@ class TestCalibration:
         sampler = self._gaussian_sampler(0.5, 2.0, 4.0, 1.0, 0.6, seed=68)
         plan = calibrate_m2(sampler, n_max=16, eps=1e-12)
         assert not plan.converged
+
+    def test_m2_converges_at_clamped_lambda(self):
+        # rho = -1 with A sigma2 = B sigma1 puts lambda* = 0 in either regime,
+        # below the 1/n_max grid: the clamped split is its own fixed point.
+        # Antithetic draws keep every sample mean at exactly A and B.
+        for seed in range(5):
+            rng = np.random.default_rng(71 + seed)
+
+            def sampler(n):
+                half = rng.standard_normal(n // 2)
+                z = np.concatenate([half, -half])
+                return 2.0 + z, 1.0 - z / 2.0
+
+            plan = calibrate_m2(sampler, n_max=8, eps=1e-3)
+            assert plan.lam == 1.0 / 8.0, seed
+            assert plan.converged, seed
 
     def test_m2_regime_labels_its_counts(self):
         # case 1 keeps all n_max denominator samples (N' = lambda N), case 2
