@@ -26,6 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, McmPricerError, NonDeterministicResultError
+from .market_model import build_vol
 from .pricer import MCM_METHODS, Payoff, price_ls, price_mcm
 
 ENV_THREADS = "MCMPRICER_THREADS"
@@ -76,6 +77,12 @@ class RunConfig:
             Payoff(kind=self.payoff, dim=self.dim, strike=self.strike)
         except (ValueError, McmPricerError) as exc:
             raise ConfigError("payoff", str(exc)) from exc
+        try:
+            vol = build_vol(self.dim, self.vol, rate=self.rate)
+        except (ValueError, TypeError, KeyError, McmPricerError) as exc:
+            raise ConfigError("vol", f"{type(exc).__name__}: {exc}") from exc
+        if vol.breaks[-1] < self.maturity:
+            raise ConfigError("vol", f"breaks end at {vol.breaks[-1]}, before maturity {self.maturity}")
         return self
 
     @property
@@ -196,6 +203,8 @@ def sweep(config: RunConfig, axes: dict[str, list]) -> PriceTable:
     Failed cells are recorded in table.failures and the sweep continues.
     """
     config.validate()
+    if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
+        raise ConfigError("axes", f'must map axis names to value lists, e.g. {{"dim": [1, 5]}}; got {axes!r}')
     bad = set(axes) - set(SWEEP_AXES)
     if bad:
         raise ConfigError(sorted(bad)[0], f"sweep axes limited to {SWEEP_AXES}")
@@ -251,16 +260,6 @@ def scaling_report(config: RunConfig, degrees: list[int]) -> list[dict]:
 # CLI
 # ---------------------------------------------------------------------------
 
-def _default_threads() -> int:
-    env = os.environ.get(ENV_THREADS)
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=False, help="JSON config file")
     parser.add_argument("--method", choices=MCM_METHODS + ("LS",))
@@ -285,8 +284,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             overrides[name] = value
     if getattr(args, "no_conditioning", False):
         overrides["conditioning"] = False
-    if "threads" not in overrides and os.environ.get(ENV_THREADS):
-        overrides["threads"] = _default_threads()
+    env = os.environ.get(ENV_THREADS)
+    if "threads" not in overrides and env:
+        try:
+            overrides["threads"] = int(env)
+        except ValueError as exc:
+            raise ConfigError("threads", f"{ENV_THREADS} must be an integer, got {env!r}") from exc
     if args.config:
         return RunConfig.from_json(args.config, overrides)
     return replace(RunConfig(), **overrides).validate()
@@ -325,7 +328,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("axes", f"invalid JSON: {exc}") from exc
             _emit(sweep(config, axes), config.out)
         else:
-            degrees = [int(v) for v in args.degrees.split(",") if v]
+            try:
+                degrees = [int(v) for v in args.degrees.split(",") if v]
+            except ValueError as exc:
+                raise ConfigError("degrees", f"must be comma-separated integers: {exc}") from exc
             rows = scaling_report(config, degrees)
             writer = csv.DictWriter(sys.stdout, fieldnames=["degree", "runtime_ms", "speedup", "price", "std"],
                                     lineterminator="\n")

@@ -9,8 +9,8 @@ Brownian vector, which is available in closed form per asset:
 
 The indicator threshold is taken from the exact distribution of
 S_s = S0 exp((r - sigma^2/2) s + sigma W_s), drift included; the closed forms
-are validated against nested Monte Carlo and the tower property in the test
-suite.
+are validated against deterministic quadrature, nested Monte Carlo and the
+tower property in the test suite.
 """
 
 from __future__ import annotations
@@ -23,12 +23,16 @@ from .errors import DegenerateDenominatorError, NotDiagonalError
 from .market_model import AssetPaths, TriangularVol
 from .weights import raw_continuation
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class DiagonalKernelParams:
-    """Precomputed per-asset constants of the closed-form kernel for one (s, t)."""
+    """Per-asset constants of the closed-form kernel for one date pair (s, t).
+
+    Completing the square in w writes each asset's kernel as a Gaussian bump
+    h_k(x, w) = exp(c_k(x) - (q w - y_k(x))^2 / 2) with centre y and log
+    height c (``bump``).  Under W_t ~ N(0, t), q W_t ~ N(0, s / (t - s)), so
+    every closed moment of h_k is one Gaussian integral (``moment``).
+    """
 
     sigma: np.ndarray
     s: float
@@ -38,8 +42,6 @@ class DiagonalKernelParams:
     v: float = field(init=False)           # bridge std scale sqrt(s(t-s)/t)
     m: np.ndarray = field(init=False)      # sigma_k * v
     q: float = field(init=False)           # s / (t v)
-    alpha: np.ndarray = field(init=False)  # exp(sigma_k^2 s)
-    log_c: np.ndarray = field(init=False)  # log of the kernel prefactor
 
     def __post_init__(self):
         if not 0.0 < self.s < self.t:
@@ -49,15 +51,6 @@ class DiagonalKernelParams:
         object.__setattr__(self, "v", float(v))
         object.__setattr__(self, "m", self.sigma * v)
         object.__setattr__(self, "q", float(s / (t * v)))
-        object.__setattr__(self, "alpha", np.exp(self.sigma**2 * s))
-        log_c = (
-            self.sigma**2 * s
-            - self.rate * s
-            - np.log(self.s0)
-            + 0.5 * np.log(t * s * (t - s))
-            - np.log(SQRT_2PI)
-        )
-        object.__setattr__(self, "log_c", log_c)
 
     @classmethod
     def from_model(cls, vol: TriangularVol, s: float, t: float, rate: float, s0) -> "DiagonalKernelParams":
@@ -66,20 +59,34 @@ class DiagonalKernelParams:
         s0 = np.broadcast_to(np.asarray(s0, dtype=float), (vol.dim,))
         return cls(sigma=vol.diagonal_sigmas(), s=float(s), t=float(t), rate=float(rate), s0=s0.copy())
 
-    def beta(self, x) -> np.ndarray:
-        """Indicator threshold in units of the time-s Gaussian, per asset."""
+    def bump(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Per-asset centre y(x) and log height c(x) of the bump in q w; ``x`` is (d,) or (..., d)."""
         x = np.asarray(x, dtype=float)
-        return (np.log(x / self.s0) - self.rate * self.s + 0.5 * self.sigma**2 * self.s) / self.sigma
+        s, t, sig = self.s, self.t, self.sigma
+        # u: the indicator threshold in units of the bridge std, shifted by m
+        u = (np.log(x / self.s0) - self.rate * s + 0.5 * sig**2 * s) / (sig * self.v) + self.m
+        shift = sig * s / (t * self.q)
+        log_c = (
+            sig**2 * s * (1.0 - 0.5 * s / t)
+            - self.rate * s
+            - np.log(self.s0)
+            + 0.5 * np.log(t * s * (t - s) / (2.0 * np.pi))
+            - shift * u
+            + 0.5 * shift**2
+        )
+        return u - shift, log_c
 
-    def d1(self, x) -> np.ndarray:
-        return (self.beta(x) + self.sigma * self.s) / np.sqrt(self.s)
+    def moment(self, x, p: float) -> np.ndarray:
+        """Per-asset closed moment E[h_k(x, W_t^k)^p] under W_t ~ N(0, t I)."""
+        y, c = self.bump(x)
+        g = 1.0 + p * self.s / (self.t - self.s)
+        return np.exp(p * c - p * y**2 / (2.0 * g)) / np.sqrt(g)
 
 
 def denominator_closed_form(params: DiagonalKernelParams, x):
     """Exact E[ H(S_s^k - x_k) W_{s,t}^k / S_s^k ], multiplied over assets.
 
-    Full unnormalised value including the alpha_k = exp(sigma_k^2 s), the
-    sqrt(s / 2 pi) factor, the 1/S0_k scaling and the drift discount.
+    By the tower property this is the kernel's mean E[prod_k h_k(x_k, W_t^k)].
     ``x`` may be a single point (d,) or a batch (..., d).
     """
     out = np.prod(denominator_factors(params, x), axis=-1)
@@ -87,16 +94,8 @@ def denominator_closed_form(params: DiagonalKernelParams, x):
 
 
 def denominator_factors(params: DiagonalKernelParams, x) -> np.ndarray:
-    d1 = params.d1(x)
-    s, t = params.s, params.t
-    return (
-        (t - s)
-        * params.alpha
-        * np.exp(-params.rate * s)
-        * np.sqrt(s)
-        / (SQRT_2PI * params.s0)
-        * np.exp(-0.5 * d1**2)
-    )
+    """Per-asset factors of denominator_closed_form, shape of ``x``."""
+    return params.moment(x, 1.0)
 
 
 def kernel_h(params: DiagonalKernelParams, x, w: np.ndarray) -> np.ndarray:
@@ -105,15 +104,9 @@ def kernel_h(params: DiagonalKernelParams, x, w: np.ndarray) -> np.ndarray:
     ``w`` holds terminal Brownian vectors with shape (..., d); the result
     drops the last axis.  Strictly positive for finite arguments.
     """
-    w = np.asarray(w, dtype=float)
-    s, t = params.s, params.t
-    u = params.beta(x) / params.v + params.m
-    expo = (
-        params.log_c
-        - (params.sigma * s / t) * (params.sigma * s / 2.0 + w)
-        - 0.5 * (u - params.q * w) ** 2
-    )
-    return np.exp(np.sum(expo, axis=-1))
+    y, c = params.bump(x)
+    qw = params.q * np.asarray(w, dtype=float)
+    return np.exp(np.sum(c - 0.5 * (qw - y) ** 2, axis=-1))
 
 
 def kernel_second_moment(params: DiagonalKernelParams, x):
@@ -122,59 +115,39 @@ def kernel_second_moment(params: DiagonalKernelParams, x):
     Used by the closed calibration mode to get the denominator variance
     without simulation.  ``x`` may be a single point or a batch (..., d).
     """
-    t = params.t
-    a = params.sigma * params.s / t
-    u = params.beta(x) / params.v + params.m
-    # h_k(w) = C e^{-a w - (u - q w)^2 / 2}; square and integrate the Gaussian.
-    log_c2 = 2.0 * (params.log_c - params.sigma * params.s / t * (params.sigma * params.s / 2.0))
-    alpha2 = params.q**2
-    beta2 = 2.0 * u * params.q - 2.0 * a
-    denom = 1.0 + 2.0 * alpha2 * t
-    log_term = log_c2 - u**2 - 0.5 * np.log(denom) + beta2**2 * t / (2.0 * denom)
-    out = np.exp(np.sum(log_term, axis=-1))
+    out = np.prod(params.moment(x, 2.0), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def query_features(params: DiagonalKernelParams, x: np.ndarray) -> np.ndarray:
     """Per-query feature rows U so that log K = U @ sample_features(...).T.
 
-    ``x`` has shape (n_query, d); the result has shape (n_query, d + 2).
+    ``x`` has shape (n_query, d); the result has shape (n_query, d + 2):
+    [y, sum_k (c_k - y_k^2 / 2), 1].
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = params.beta(x) / params.v + params.m
-    s, t = params.s, params.t
-    const = np.sum(params.log_c - params.sigma**2 * s**2 / (2.0 * t), axis=-1) - 0.5 * np.sum(u**2, axis=-1)
-    return np.concatenate([u, const[:, None], np.ones((len(x), 1))], axis=1)
+    y, c = params.bump(np.atleast_2d(x))
+    const = np.sum(c - 0.5 * y**2, axis=-1)
+    return np.concatenate([y, const[:, None], np.ones((len(y), 1))], axis=1)
 
 
 def sample_features(params: DiagonalKernelParams, w_t: np.ndarray) -> np.ndarray:
-    """Per-sample feature rows V paired with query_features, shape (n, d + 2)."""
-    w_t = np.atleast_2d(np.asarray(w_t, dtype=float))
-    s, t = params.s, params.t
-    qw = params.q * w_t
-    bw = np.sum(-(params.sigma * s / t) * w_t - 0.5 * (params.q * w_t) ** 2, axis=-1)
-    return np.concatenate([qw, np.ones((len(w_t), 1)), bw[:, None]], axis=1)
+    """Per-sample feature rows V paired with query_features: [q w, 1, -|q w|^2 / 2]."""
+    qw = params.q * np.atleast_2d(np.asarray(w_t, dtype=float))
+    return np.concatenate([qw, np.ones((len(qw), 1)), -0.5 * np.sum(qw**2, axis=-1)[:, None]], axis=1)
 
 
 def conditioned_continuation(
-    paths: AssetPaths,
-    s_index: int,
-    t_index: int,
-    x,
-    values: np.ndarray,
-    n_num: int | None = None,
-    n_den: int | None = None,
-    procedure: str = "P2",
+    paths: AssetPaths, s_index: int, t_index: int, x, values: np.ndarray
 ) -> tuple[float, float]:
     """Conditioned continuation components at a single query point.
 
-    Numerator is the MC mean of g(S_t) prod_k h_k(x_k, W_t^k); the denominator
-    is the closed form (procedure "P1") or the MC mean of the kernel product
-    (procedure "P2").  Falls back to the unconditioned raw estimator when the
+    Returns the MC means of g(S_t) prod_k h_k(x_k, W_t^k) and of the kernel
+    product over all paths: the single-query reference for the pricer's
+    engine.  Falls back to the unconditioned raw estimator when the
     volatility is not constant diagonal.
     """
     if not (paths.vol.is_diagonal and paths.vol.is_constant):
-        return raw_continuation(paths, s_index, t_index, x, values, n_num=n_num, n_den=n_den)
+        return raw_continuation(paths, s_index, t_index, x, values)
     dates = paths.grid.dates
     s, t = float(dates[s_index]), float(dates[t_index])
     params = DiagonalKernelParams.from_model(paths.vol, s, t, paths.rate, paths.s0)
@@ -182,18 +155,8 @@ def conditioned_continuation(
     if np.any(x <= 0.0):
         raise ValueError("query point must be componentwise positive")
     h = kernel_h(params, x, paths.w_at_date(t_index))
-    values = np.asarray(values, dtype=float)
-    n_num = paths.n_paths if n_num is None else int(n_num)
-    num = float(np.mean((values * h)[:n_num]))
-    if procedure == "P1":
-        den = denominator_closed_form(params, x)
-    elif procedure == "P2":
-        n_den = paths.n_paths if n_den is None else int(n_den)
-        den = float(np.mean(h[:n_den]))
-    else:
-        raise ValueError(f"unknown procedure {procedure!r}")
-    floor = 1e-300
-    if den <= floor:
+    num = float(np.mean(np.asarray(values, dtype=float) * h))
+    den = float(np.mean(h))
+    if den <= 1e-300:
         raise DegenerateDenominatorError(f"kernel denominator underflowed at x={x}")
     return num, den
-

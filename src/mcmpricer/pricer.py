@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError
 from .kernels import (
     DiagonalKernelParams,
+    conditioned_continuation,
     denominator_closed_form,
     denominator_factors,
     kernel_second_moment,
@@ -43,7 +44,7 @@ from .kernels import (
 from .market_model import AssetPaths, TimeGrid, build_vol, simulate_paths
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import replication_seed
-from .weights import path_weights
+from .weights import path_weights, raw_continuation
 
 MCM_METHODS = ("P1", "P2eq", "P2opt")
 PILOT_QUERIES = 512
@@ -152,12 +153,12 @@ def _conditioned_kernel(
     params = _kernel_params(paths, k)
     vt = np.ascontiguousarray(sample_features(params, paths.w_at_date(k + 1)).T)
     u = query_features(params, x_itm)
-    closed_b = closed_s2 = None
-    if method == "P1" or calibration == "closed":
-        closed_b = denominator_closed_form(params, x_itm)
-        if calibration == "closed":
-            e2 = kernel_second_moment(params, x_itm)
-            closed_s2 = np.sqrt(np.maximum(e2 - closed_b**2, 0.0))
+    # P1 reads the closed denominator; only P2opt under closed calibration reads both moments
+    closed = method == "P2opt" and calibration == "closed"
+    closed_b = denominator_closed_form(params, x_itm) if closed or method == "P1" else None
+    closed_s2 = None
+    if closed:
+        closed_s2 = np.sqrt(np.maximum(kernel_second_moment(params, x_itm) - closed_b**2, 0.0))
 
     def rows(lo, hi, s_lo, s_hi, out):
         np.matmul(u[lo:hi], vt[:, s_lo:s_hi], out=out)
@@ -233,7 +234,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
     cfw = cf[:m] * w
     first, second = _tile_sums(kern, nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
                                np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
-    closed = calibration == "closed" and kern.closed_s2 is not None
+    closed = kern.closed_s2 is not None
     scale = kern.closed_b[:nq] if closed else first[:, 2]
     good = scale > 0.0
     safe = np.where(good, scale, 1.0)
@@ -466,6 +467,10 @@ def price_mcm(
     Each replication simulates its own paths from a derived seed and runs the
     backward induction with the chosen continuation estimator.  Results are a
     pure function of (seed, parameters), independent of n_workers.
+
+    ``calibration`` sets how P2opt splits its samples.  The raw estimator
+    (conditioning off, or vol that is not constant diagonal) has no closed
+    moments, so it calibrates with the M1 pilot when "closed" is asked for.
     """
     if method == "LS":
         raise ValueError("use price_ls for the regression baseline")
@@ -611,10 +616,6 @@ def conditional_expectation_check(
     vol = build_vol(1, sigma, rate=r)
     paths = simulate_paths(vol, grid, s0, r, n_paths, seed)
     g = np.maximum(strike - paths.s[:, -1, 0], 0.0)
-    if conditioning:
-        from .kernels import conditioned_continuation
-        num, den = conditioned_continuation(paths, s_index, n_steps, x, g, procedure="P2")
-    else:
-        from .weights import raw_continuation
-        num, den = raw_continuation(paths, s_index, n_steps, x, g)
+    estimator = conditioned_continuation if conditioning else raw_continuation
+    num, den = estimator(paths, s_index, n_steps, x, g)
     return num / den, lognormal_conditional_put(x, strike, r, sigma, t - s)

@@ -160,13 +160,7 @@ def path_weights(paths: AssetPaths, s_index: int, t_index: int) -> np.ndarray:
 
 
 def raw_continuation(
-    paths: AssetPaths,
-    s_index: int,
-    t_index: int,
-    x,
-    values: np.ndarray,
-    n_num: int | None = None,
-    n_den: int | None = None,
+    paths: AssetPaths, s_index: int, t_index: int, x, values: np.ndarray
 ) -> tuple[float, float]:
     """Unconditioned continuation estimator components at a single query point.
 
@@ -186,10 +180,8 @@ def raw_continuation(
     w = path_weights(paths, s_index, t_index)
     ind = np.all(paths.s[:, s_index, :] >= x, axis=-1)
     wind = w * ind
-    n_num = paths.n_paths if n_num is None else int(n_num)
-    n_den = paths.n_paths if n_den is None else int(n_den)
-    num = float(np.mean((values * wind)[:n_num]))
-    den = float(np.mean(wind[:n_den]))
+    num = float(np.mean(values * wind))
+    den = float(np.mean(wind))
     floor = DEN_FLOOR_SCALE * float(np.mean(np.abs(w)))
     if den <= floor:
         raise DegenerateDenominatorError(f"denominator mean {den:.3e} at or below floor {floor:.3e}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcmpricer
 from mcmpricer.bench import ENV_THREADS, PriceTable, RunConfig, main, run, scaling_report, sweep
 from mcmpricer.errors import ConfigError
 
@@ -31,6 +36,17 @@ class TestRunConfig:
         path.write_text(json.dumps({"dim": 2, "payoff": "min_put", "log2_paths": 7}))
         cfg = RunConfig.from_json(str(path), {"seed": 3})
         assert cfg.dim == 2 and cfg.seed == 3
+
+    @pytest.mark.parametrize("vol,dim", [
+        ([0.2, 0.3], 1),                                      # wrong length
+        ({"breaks": [0, 1]}, 1),                              # no matrices
+        ({"breaks": [0.0, 0.5], "matrices": [[[0.2]]]}, 1),   # ends before maturity 1
+        ([[0.2, 0.1], [0.0, 0.3]], 2),                        # upper triangular
+    ])
+    def test_bad_vol_is_config_error(self, vol, dim):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(vol=vol, dim=dim).validate()
+        assert err.value.field == "vol"
 
     def test_from_json_unknown_field(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -157,3 +173,30 @@ class TestCli:
                                   n_steps=2, log2_paths=5, replications=1, seed=None,
                                   threads=None, calibration=None, out=None, no_conditioning=False)
         assert _config_from_args(args).threads == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axes", '{"dim": 5}'],
+        ["sweep", "--axes", "5"],
+        ["scaling", "--degrees", "1,x"],
+    ])
+    def test_malformed_arguments_exit_one(self, argv, capsys):
+        assert main(argv + ["--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_env_threads_exit_one(self, value, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_THREADS, value)
+        assert main(["price", "--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        env.pop(ENV_THREADS, None)
+        out = subprocess.run(
+            [sys.executable, "-m", "mcmpricer", "price", "--steps", "2", "--log2-paths", "6",
+             "--replications", "2", "--seed", "4"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == "method,payoff,dim,steps,paths,price,std,fallbacks,runtime_ms"
+        assert out.stderr == ""

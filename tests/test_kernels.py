@@ -23,6 +23,42 @@ def _params(sigma=0.2, s=0.5, t=1.0, rate=BENCH_RATE, s0=100.0, d=1):
     return DiagonalKernelParams.from_model(vol, s, t, rate, s0)
 
 
+def _quad(f, lo, hi, panels=200, nodes=24):
+    """Composite Gauss-Legendre integral of f over [lo, hi]."""
+    z, wts = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return float(np.sum(half[:, None] * wts * f(mid[:, None] + half[:, None] * z)))
+
+
+def _gauss_pdf(v, mean, var):
+    return np.exp(-0.5 * (v - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+
+
+def _weighted_indicator(sig, s0, s, t, rate, x, mean, var, w_t=None):
+    """E[1{S_s >= x} W_{s,t} / S_s] for W_s ~ N(mean, var), one asset, by quadrature.
+
+    W_{s,t} = (t - s)(W_s + sig s) - s(W_t - W_s); without ``w_t`` the
+    increment term has mean zero and drops.  The integral starts at the
+    exercise boundary w*, where S_s = x.
+    """
+    w_star = (np.log(x / s0) - (rate - 0.5 * sig**2) * s) / sig
+
+    def f(w):
+        weight = (t - s) * (w + sig * s) - (0.0 if w_t is None else s * (w_t - w))
+        return weight / (s0 * np.exp((rate - 0.5 * sig**2) * s + sig * w)) * _gauss_pdf(w, mean, var)
+
+    return _quad(f, w_star, max(w_star, mean) + 16.0 * np.sqrt(var))
+
+
+def _kernel_by_quadrature(sig, s0, s, t, rate, x, w_t):
+    # W_s | W_t = w_t is the Brownian bridge N(s w_t / t, s (t - s) / t)
+    return _weighted_indicator(sig, s0, s, t, rate, x, s * w_t / t, s * (t - s) / t, w_t)
+
+
+DATE_PAIRS = [(0.1, 0.2), (0.5, 1.0), (0.9, 1.0)]
+
+
 class TestClosedDenominator:
     def test_not_diagonal_rejected(self, tri_vol_2d):
         with pytest.raises(NotDiagonalError):
@@ -55,6 +91,50 @@ class TestClosedDenominator:
         h = kernel_h(p, 100.0, wt)
         stderr = h.std() / np.sqrt(len(h))
         assert abs(h.mean() - denominator_closed_form(p, 100.0)) <= 3.0 * stderr
+
+
+class TestQuadrature:
+    """The closed forms against deterministic 1-D quadrature of their definitions."""
+
+    @pytest.mark.parametrize("rate", [0.0, BENCH_RATE])
+    @pytest.mark.parametrize("s,t", DATE_PAIRS)
+    def test_denominator(self, s, t, rate):
+        p = _params(s=s, t=t, rate=rate)
+        for x in (80.0, 100.0, 120.0):
+            ref = _weighted_indicator(0.2, 100.0, s, t, rate, x, 0.0, s)
+            assert denominator_closed_form(p, x) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("rate", [0.0, BENCH_RATE])
+    @pytest.mark.parametrize("s,t", DATE_PAIRS)
+    def test_kernel(self, s, t, rate):
+        p = _params(s=s, t=t, rate=rate)
+        for x in (80.0, 100.0, 120.0):
+            for w_t in (-np.sqrt(t), 0.0, 0.8 * np.sqrt(t)):
+                ref = _kernel_by_quadrature(0.2, 100.0, s, t, rate, x, w_t)
+                assert float(kernel_h(p, x, np.array([w_t]))) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("rate", [0.0, BENCH_RATE])
+    @pytest.mark.parametrize("s,t", DATE_PAIRS)
+    def test_second_moment(self, s, t, rate):
+        p = _params(s=s, t=t, rate=rate)
+        for x in (80.0, 100.0, 120.0):
+            ref = _quad(lambda w: kernel_h(p, x, w[..., None]) ** 2 * _gauss_pdf(w, 0.0, t),
+                        -20.0 * np.sqrt(t), 20.0 * np.sqrt(t))
+            assert kernel_second_moment(p, x) == pytest.approx(ref, rel=1e-9)
+
+    def test_assets_multiply(self):
+        # per-asset vols and spots: every closed form is the product of 1-D integrals
+        sig, s0, x, w_t = np.array([0.2, 0.35]), np.array([100.0, 90.0]), np.array([95.0, 105.0]), 0.3
+        p = DiagonalKernelParams.from_model(build_vol(2, sig), 0.5, 1.0, BENCH_RATE, s0)
+        den = ker = e2 = 1.0
+        for sig_k, s0_k, x_k in zip(sig, s0, x):
+            den *= _weighted_indicator(sig_k, s0_k, 0.5, 1.0, BENCH_RATE, x_k, 0.0, 0.5)
+            ker *= _kernel_by_quadrature(sig_k, s0_k, 0.5, 1.0, BENCH_RATE, x_k, w_t)
+            p_k = _params(sigma=sig_k, s0=s0_k)
+            e2 *= _quad(lambda w: kernel_h(p_k, x_k, w[..., None]) ** 2 * _gauss_pdf(w, 0.0, 1.0), -20.0, 20.0)
+        assert denominator_closed_form(p, x) == pytest.approx(den, rel=1e-9)
+        assert float(kernel_h(p, x, np.full(2, w_t))) == pytest.approx(ker, rel=1e-9)
+        assert kernel_second_moment(p, x) == pytest.approx(e2, rel=1e-9)
 
 
 class TestKernel:
@@ -107,7 +187,7 @@ class TestKernel:
 class TestConditionedContinuation:
     def test_identity_payoff_shared_paths(self, paths_1d_two_dates):
         ones = np.ones(paths_1d_two_dates.n_paths)
-        num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 100.0, ones, procedure="P2")
+        num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 100.0, ones)
         assert num / den == 1.0
 
     def test_falls_back_to_raw_for_triangular_vol(self, tri_vol_2d):
@@ -124,7 +204,7 @@ class TestConditionedContinuation:
         for rep in range(16):
             paths = simulate_paths(vol, TimeGrid(1.0, 2), 100.0, BENCH_RATE, 2**14, seed=500 + rep)
             g = np.maximum(100.0 - paths.s[:, -1, 0], 0.0)
-            n, d = conditioned_continuation(paths, 1, 2, 100.0, g, procedure="P2")
+            n, d = conditioned_continuation(paths, 1, 2, 100.0, g)
             cond.append(n / d)
             n, d = raw_continuation(paths, 1, 2, 100.0, g)
             raw.append(n / d)
@@ -150,7 +230,7 @@ class TestConditionedContinuation:
             cond_samples = g * kernel_h(params, x, paths.w_at_date(2))
             raw_samples = g * np.all(paths.s[:, 1, :] >= x, axis=-1) * path_weights(paths, 1, 2)
             assert cond_samples.std() <= raw_samples.std()
-            num, den = conditioned_continuation(paths, 1, 2, x, g, procedure="P2")
+            num, den = conditioned_continuation(paths, 1, 2, x, g)
             quotients.append(num / den)
         assert np.all(np.isfinite(quotients))
 

@@ -454,5 +454,5 @@ class TestConditionalExpectationCheck:
         from mcmpricer import conditioned_continuation
 
         ones = np.ones(paths_1d_two_dates.n_paths)
-        num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 110.0, ones, procedure="P2")
+        num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 110.0, ones)
         assert num / den == 1.0
