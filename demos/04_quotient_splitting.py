@@ -39,7 +39,7 @@ def sampler(n):
 
 
 print("\nM1 plan:", calibrate_m1(sampler, 2**16).lam)
-m2 = calibrate_m2(sampler, 2**14, eps=1e-3)
+m2 = calibrate_m2(sampler, 2**14)
 print("M2 plan:", m2.lam, "converged:", m2.converged)
 
 # Brute-force check: empirical variance at the optimum vs the full split.

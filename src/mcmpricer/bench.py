@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .pricer import MCM_METHODS, Payoff, price_ls, price_mcm
 ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
 CALIBRATIONS = ("closed", "M1", "M2")
+NUMBER_FIELDS = {**dict.fromkeys(("dim", "n_steps", "log2_paths", "replications", "seed", "threads"), Integral),
+                 **dict.fromkeys(("strike", "maturity", "rate", "s0"), Real)}
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,21 @@ class RunConfig:
     method: str = "P2opt"
     conditioning: bool = True
     calibration: str = "closed"
-    m2_eps: float = 1e-3
     replications: int = 16
     seed: int = 42
     threads: int = 1
     out: str | None = None
 
     def validate(self) -> "RunConfig":
+        for name, kind in NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not -np.inf < value < np.inf:
+                raise ConfigError(name, f"must be a finite {kind.__name__.lower()} number, got {value!r}")
         if self.method not in MCM_METHODS + ("LS",):
             raise ConfigError("method", f"must be one of {MCM_METHODS + ('LS',)}, got {self.method!r}")
         if self.calibration not in CALIBRATIONS:
             raise ConfigError("calibration", f"must be one of {CALIBRATIONS}, got {self.calibration!r}")
-        for name in ("strike", "maturity", "m2_eps"):
+        for name in ("strike", "maturity"):
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
         for name in ("dim", "n_steps", "replications", "threads"):
@@ -101,11 +107,7 @@ class RunConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
-        merged = {**data, **(overrides or {})}
-        try:
-            return cls(**merged).validate()
-        except TypeError as exc:
-            raise ConfigError("config", str(exc)) from exc
+        return cls(**{**data, **(overrides or {})}).validate()
 
 
 @dataclass
@@ -172,7 +174,7 @@ def _run_cell(config: RunConfig) -> dict:
             payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
             config.n_paths, config.seed, method=config.method, conditioning=config.conditioning,
             replications=config.replications, n_workers=config.threads,
-            calibration=config.calibration, m2_eps=config.m2_eps,
+            calibration=config.calibration,
         )
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return {

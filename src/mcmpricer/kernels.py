@@ -23,6 +23,10 @@ from .errors import DegenerateDenominatorError, NotDiagonalError
 from .market_model import AssetPaths, TriangularVol
 from .weights import raw_continuation
 
+# A kernel mean at or below this has underflowed: the pricer's engine and
+# conditioned_continuation treat it as a degenerate denominator
+KERNEL_DEN_FLOOR = 1e-300
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalKernelParams:
@@ -157,6 +161,6 @@ def conditioned_continuation(
     h = kernel_h(params, x, paths.w_at_date(t_index))
     num = float(np.mean(np.asarray(values, dtype=float) * h))
     den = float(np.mean(h))
-    if den <= 1e-300:
+    if den <= KERNEL_DEN_FLOOR:
         raise DegenerateDenominatorError(f"kernel denominator underflowed at x={x}")
     return num, den

@@ -97,7 +97,7 @@ class TriangularVol:
         return np.unique(np.concatenate([grid.dates, inner]))
 
 
-def build_vol(dim: int, spec, rate: float = 0.0, eps_ell: float = EPS_ELLIPTIC) -> TriangularVol:
+def build_vol(dim: int, spec, rate: float = 0.0) -> TriangularVol:
     """Build a TriangularVol from a scalar, per-asset vector, matrix, or piecewise spec.
 
     Accepted specs:
@@ -138,8 +138,8 @@ def build_vol(dim: int, spec, rate: float = 0.0, eps_ell: float = EPS_ELLIPTIC) 
     if np.any(upper != 0.0):
         raise NotTriangularError("sigma_ij must vanish for i < j")
     diag = np.diagonal(mats, axis1=1, axis2=2)
-    if np.any(np.abs(diag) < eps_ell):
-        raise NotEllipticError(f"min |sigma_ii| = {np.abs(diag).min():.3e} < {eps_ell:.1e}")
+    if np.any(np.abs(diag) < EPS_ELLIPTIC):
+        raise NotEllipticError(f"min |sigma_ii| = {np.abs(diag).min():.3e} < {EPS_ELLIPTIC:.1e}")
 
     invs = np.empty_like(mats)
     for i, m in enumerate(mats):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError
 from .kernels import (
+    KERNEL_DEN_FLOOR,
     DiagonalKernelParams,
     conditioned_continuation,
     denominator_closed_form,
@@ -44,7 +45,7 @@ from .kernels import (
 from .market_model import AssetPaths, TimeGrid, build_vol, simulate_paths
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import replication_seed
-from .weights import path_weights, raw_continuation
+from .weights import DEN_FLOOR_SCALE, path_weights
 
 MCM_METHODS = ("P1", "P2eq", "P2opt")
 PILOT_QUERIES = 512
@@ -164,7 +165,7 @@ def _conditioned_kernel(
         np.matmul(u[lo:hi], vt[:, s_lo:s_hi], out=out)
         return np.exp(out, out=out)
 
-    return _DateKernel(len(u), rows, None, closed_b, closed_s2, 1e-300)
+    return _DateKernel(len(u), rows, None, closed_b, closed_s2, KERNEL_DEN_FLOOR)
 
 
 def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
@@ -186,7 +187,7 @@ def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _D
         np.copyto(out, acc)
         return out
 
-    return _DateKernel(len(x_itm), rows, w, closed_b, None, 1e-12 * float(np.mean(np.abs(w))))
+    return _DateKernel(len(x_itm), rows, w, closed_b, None, DEN_FLOOR_SCALE * float(np.mean(np.abs(w))))
 
 
 def _tile_sums(
@@ -214,7 +215,7 @@ def _tile_sums(
     return sums, sums_sq
 
 
-def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: float) -> QuotientPlan:
+def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientPlan:
     """Pooled sample-split plan for one exercise date (P2opt only).
 
     The pilot takes the first PILOT_QUERIES queries against the first
@@ -252,7 +253,6 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
     if closed:
         b = np.where(good, 1.0, 0.0)
         s2 = unit(kern.closed_s2[:nq])
-        return pooled_plan(a, b, s1, s2, rho, n)
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
         return plan
@@ -269,7 +269,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str, m2_eps: floa
             b = mean
         return pooled_plan(a, b, s1, s2, rho, n)
 
-    return m2_fixed_point(plan, replan, m2_eps)
+    return m2_fixed_point(plan, replan)
 
 
 def _kernel_sums(
@@ -295,7 +295,6 @@ def _mcm_sweep(
     method: str,
     conditioning: bool,
     calibration: str = "M1",
-    m2_eps: float = 1e-3,
 ) -> tuple[float, int]:
     """One backward induction pass; returns (price, degenerate-denominator count)."""
     if method not in MCM_METHODS:
@@ -324,7 +323,7 @@ def _mcm_sweep(
             kern = _raw_kernel(paths, k, s_k[itm], method)
         n_num = n_den = n
         if method == "P2opt":
-            plan = _date_plan(kern, cf, calibration, m2_eps)
+            plan = _date_plan(kern, cf, calibration)
             n_num, n_den = plan.n_prime, plan.n
         num, den = _kernel_sums(kern, cf, n_num, n_den)
         if method == "P1":
@@ -460,7 +459,6 @@ def price_mcm(
     replications: int = 16,
     n_workers: int = 1,
     calibration: str = "closed",
-    m2_eps: float = 1e-3,
 ) -> PriceEstimate:
     """Replicated Malliavin-weight Monte Carlo price.
 
@@ -474,8 +472,7 @@ def price_mcm(
     """
     if method == "LS":
         raise ValueError("use price_ls for the regression baseline")
-    sweep = partial(_mcm_sweep, method=method, conditioning=conditioning,
-                    calibration=calibration, m2_eps=m2_eps)
+    sweep = partial(_mcm_sweep, method=method, conditioning=conditioning, calibration=calibration)
     return _replicate(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed,
                       replications, n_workers)
 
@@ -489,16 +486,14 @@ def price_ls(
     r: float,
     n_paths: int,
     seed: int,
-    basis: str | None = None,
     replications: int = 16,
     n_workers: int = 1,
 ) -> PriceEstimate:
     """Replicated Longstaff-Schwartz price.
 
-    Default basis: cubic monomials for d = 1, linear in the assets otherwise.
+    Basis: cubic monomials for d = 1, linear in the assets otherwise.
     """
-    if basis is None:
-        basis = "monomials3" if payoff.dim == 1 else "linear"
+    basis = "monomials3" if payoff.dim == 1 else "linear"
     return _replicate(partial(_ls_sweep, basis=basis), payoff, vol_spec, maturity, n_steps, s0, r,
                       n_paths, seed, replications, n_workers)
 
@@ -568,11 +563,11 @@ def price_tree_1d(
 
 
 def tree_converged(dim: int, strike: float, s0: float, r: float, sigma: float, maturity: float,
-                   n_tree_steps: int = 5000, tol: float = 5e-3) -> bool:
-    """True when doubling the tree steps moves the value by less than tol."""
+                   n_tree_steps: int = 5000) -> bool:
+    """True when doubling the tree steps moves the value by less than 5e-3."""
     a = price_tree_1d(dim, strike, s0, r, sigma, maturity, n_tree_steps)
     b = price_tree_1d(dim, strike, s0, r, sigma, maturity, 2 * n_tree_steps)
-    return abs(a - b) < tol
+    return abs(a - b) < 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -591,31 +586,16 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def conditional_expectation_check(
-    x: float,
-    n_paths: int = 2**18,
-    seed: int = 20260808,
-    s: float = 0.5,
-    t: float = 1.0,
-    strike: float = 100.0,
-    s0: float = 100.0,
-    sigma: float = 0.2,
-    r: float = float(np.log(1.1)),
-    conditioning: bool = True,
-) -> tuple[float, float]:
+def conditional_expectation_check(x: float, n_paths: int = 2**18, seed: int = 20260808) -> tuple[float, float]:
     """Single-date continuation quotient against the exact conditional law.
 
     Returns (mcm estimate, oracle value) for g = (K - S_t)_+ conditioned on
-    S_s = x, with shared numerator/denominator paths (equal counts).
+    S_s = x, with K = S0 = 100, sigma = 0.2, r = ln 1.1, s = 0.5 and t = 1:
+    the conditioned estimator with shared numerator/denominator paths
+    (equal counts) on a two-date grid.
     """
-    n_steps = round(t / (t - s))
-    grid = TimeGrid(t, n_steps)
-    if not np.any(np.isclose(grid.dates, s)):
-        raise ValueError(f"s={s} must sit on the regular grid of t={t}")
-    s_index = int(np.argmin(np.abs(grid.dates - s)))
-    vol = build_vol(1, sigma, rate=r)
-    paths = simulate_paths(vol, grid, s0, r, n_paths, seed)
+    strike, sigma, r = 100.0, 0.2, float(np.log(1.1))
+    paths = simulate_paths(build_vol(1, sigma, rate=r), TimeGrid(1.0, 2), 100.0, r, n_paths, seed)
     g = np.maximum(strike - paths.s[:, -1, 0], 0.0)
-    estimator = conditioned_continuation if conditioning else raw_continuation
-    num, den = estimator(paths, s_index, n_steps, x, g)
-    return num / den, lognormal_conditional_put(x, strike, r, sigma, t - s)
+    num, den = conditioned_continuation(paths, 1, 2, x, g)
+    return num / den, lognormal_conditional_put(x, strike, r, sigma, 0.5)

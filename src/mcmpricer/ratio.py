@@ -16,18 +16,20 @@ at rho = 0 the optimal split is one half.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DenominatorMeanNearZeroError
 
 M2_MAX_ITER = 50
+M2_EPS = 1e-3
 
 
 @dataclass(frozen=True)
 class QuotientStats:
-    """Moments of the numerator/denominator samples of a quotient."""
+    """Moments of the numerator/denominator samples of one quotient (floats)
+    or of one per query (arrays); a NaN or infinite rho becomes 0."""
 
     a: float
     b: float
@@ -36,13 +38,14 @@ class QuotientStats:
     rho: float
 
     def __post_init__(self):
-        if self.sigma1 < 0.0 or self.sigma2 < 0.0:
+        if np.any(self.sigma1 < 0.0) or np.any(self.sigma2 < 0.0):
             raise ValueError("standard deviations must be nonnegative")
-        rho = self.rho
-        if not np.isfinite(rho):
-            object.__setattr__(self, "rho", 0.0)
-        elif abs(rho) > 1.0:
-            object.__setattr__(self, "rho", float(np.clip(rho, -1.0, 1.0)))
+        rho = np.nan_to_num(self.rho, nan=0.0, posinf=0.0, neginf=0.0)
+        object.__setattr__(self, "rho", np.clip(rho, -1.0, 1.0))
+
+    def __getitem__(self, keep) -> QuotientStats:
+        """The queries of a per-query QuotientStats selected by ``keep``."""
+        return QuotientStats(*(getattr(self, f.name)[keep] for f in fields(self)))
 
     @property
     def eps_b(self) -> float:
@@ -67,11 +70,9 @@ def stats_from_samples(xs: np.ndarray, ys: np.ndarray) -> QuotientStats:
     ys = np.asarray(ys, dtype=float)
     s1 = float(np.std(xs))
     s2 = float(np.std(ys))
-    if s1 > 0.0 and s2 > 0.0:
-        rho = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (s1 * s2))
-    else:
-        rho = 0.0
-    return QuotientStats(float(np.mean(xs)), float(np.mean(ys)), s1, s2, rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.mean((xs - xs.mean()) * (ys - ys.mean())) / (s1 * s2)
+    return QuotientStats(float(np.mean(xs)), float(np.mean(ys)), s1, s2, float(rho))
 
 
 def sigma1_of_lambda(stats: QuotientStats, lam: float) -> float:
@@ -100,13 +101,11 @@ def prefers_case1(stats: QuotientStats) -> bool:
 
 
 def lambda_min(stats: QuotientStats, case1: bool) -> float:
-    """Unclamped variance-minimising split ratio for the given regime."""
-    a, b, s1, s2, rho = stats.a, stats.b, stats.sigma1, stats.sigma2, stats.rho
-    if case1:
-        corr = b * s1 * rho / (2.0 * a * s2) if a * s2 != 0.0 else 0.0
-    else:
-        corr = a * s2 * rho / (2.0 * b * s1) if b * s1 != 0.0 else 0.0
-    return 0.5 + corr
+    """Unclamped variance-minimising split ratio for the given regime (1/2 where it divides by 0)."""
+    bs1, as2 = stats.b * stats.sigma1, stats.a * stats.sigma2
+    num, den = (bs1, as2) if case1 else (as2, bs1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 + np.where(den != 0.0, num * stats.rho / (2.0 * den), 0.0)
 
 
 def p2_preferred(stats: QuotientStats, case1: bool) -> bool:
@@ -137,7 +136,6 @@ def optimal_plan(stats: QuotientStats, n_max: int) -> QuotientPlan:
     The regime compares A^2 sigma2^2 with B^2 sigma1^2; lambda is clamped to
     [1/n_max, 1] and resolved against n_max.
     """
-    _check_b(stats)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     case1 = prefers_case1(stats)
@@ -159,19 +157,17 @@ def _resolve(stats: QuotientStats, case1: bool, lam: float, n_max: int) -> Quoti
     )
 
 
-def m2_fixed_point(
-    plan: QuotientPlan, replan: Callable[[QuotientPlan], QuotientPlan], eps: float
-) -> QuotientPlan:
+def m2_fixed_point(plan: QuotientPlan, replan: Callable[[QuotientPlan], QuotientPlan]) -> QuotientPlan:
     """The M2 fixed point: repeat plan = replan(plan) until lambda settles.
 
     ``replan`` re-estimates the split-dependent mean (A in case 1, B in
     case 2) on lambda times the pilot's samples and returns the plan it
-    resolves to.  The first plan whose lambda moves by less than eps is
+    resolves to.  The first plan whose lambda moves by less than M2_EPS is
     returned; after M2_MAX_ITER rounds, the last plan flagged converged=False.
     """
     for _ in range(M2_MAX_ITER):
         new = replan(plan)
-        if abs(new.lam - plan.lam) < eps:
+        if abs(new.lam - plan.lam) < M2_EPS:
             return new
         plan = new
     return replace(plan, converged=False)
@@ -183,15 +179,13 @@ def calibrate_m1(sampler, n_max: int) -> QuotientPlan:
     return optimal_plan(stats_from_samples(xs, ys), n_max)
 
 
-def calibrate_m2(sampler, n_max: int, eps: float) -> QuotientPlan:
+def calibrate_m2(sampler, n_max: int) -> QuotientPlan:
     """Fixed-point calibration: re-simulate the lambda-dependent statistic.
 
     Keeps every statistic and the regime of the full pilot pass; each round
     re-samples the statistic whose estimate depends on the split (A in
     case 1, B in case 2) with lambda * n_max pairs (see m2_fixed_point).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     plan = calibrate_m1(sampler, n_max)
     case1 = plan.regime == "case1"
 
@@ -203,7 +197,7 @@ def calibrate_m2(sampler, n_max: int, eps: float) -> QuotientPlan:
             stats = replace(plan.stats, b=float(np.mean(ys)))
         return _resolve(stats, case1, lambda_min(stats, case1), n_max)
 
-    return m2_fixed_point(plan, replan, eps)
+    return m2_fixed_point(plan, replan)
 
 
 def pooled_plan(
@@ -217,29 +211,17 @@ def pooled_plan(
     """One plan pooled over many query points.
 
     Each query contributes its own regime vote and unclamped lambda; the
-    pooled plan takes the majority regime and the median lambda of the
-    queries voting for it.  Degenerate queries (tiny |B| or zero variances)
-    are dropped; with nothing left the plan degrades to lambda = 1.
+    pooled plan takes the majority regime and the median moments and lambda
+    of the queries voting for it.  Degenerate queries (|B| at or below eps_b
+    or a zero variance) are dropped; with nothing left the plan degrades to
+    lambda = 1.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sigma1 = np.asarray(sigma1, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    rho = np.where(np.isfinite(rho), rho, 0.0).clip(-1.0, 1.0)
-    ok = (np.abs(b) > 1e-10 * (1.0 + np.abs(a))) & (sigma1 > 0.0) & (sigma2 > 0.0)
-    if not np.any(ok):
-        stats = QuotientStats(1.0, 1.0, 0.0, 0.0, 0.0)
-        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max, stats)
-    a, b, sigma1, sigma2, rho = (v[ok] for v in (a, b, sigma1, sigma2, rho))
-    case1 = a**2 * sigma2**2 >= b**2 * sigma1**2
-    majority_case1 = np.count_nonzero(case1) * 2 >= len(case1)
-    sel = case1 if majority_case1 else ~case1
-    if majority_case1:
-        lam_all = 0.5 + b[sel] * sigma1[sel] * rho[sel] / (2.0 * a[sel] * sigma2[sel])
-    else:
-        lam_all = 0.5 + a[sel] * sigma2[sel] * rho[sel] / (2.0 * b[sel] * sigma1[sel])
-    med = QuotientStats(
-        float(np.median(a[sel])), float(np.median(b[sel])),
-        float(np.median(sigma1[sel])), float(np.median(sigma2[sel])), float(np.median(rho[sel])),
-    )
-    return _resolve(med, majority_case1, float(np.median(lam_all)), n_max)
+    stats = QuotientStats(*(np.asarray(v, dtype=float) for v in (a, b, sigma1, sigma2, rho)))
+    stats = stats[(np.abs(stats.b) > stats.eps_b) & (stats.sigma1 > 0.0) & (stats.sigma2 > 0.0)]
+    if stats.a.size == 0:
+        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max, QuotientStats(1.0, 1.0, 0.0, 0.0, 0.0))
+    votes = prefers_case1(stats)
+    case1 = np.count_nonzero(votes) * 2 >= votes.size
+    voters = stats[votes == case1]
+    med = QuotientStats(*(float(np.median(getattr(voters, f.name))) for f in fields(voters)))
+    return _resolve(med, case1, float(np.median(lambda_min(voters, case1))), n_max)

@@ -48,6 +48,15 @@ class TestRunConfig:
             RunConfig(vol=vol, dim=dim).validate()
         assert err.value.field == "vol"
 
+    @pytest.mark.parametrize("field,value", [
+        ("dim", "a"), ("n_steps", 2.5), ("replications", 2.0), ("seed", "x"), ("threads", True),
+        ("log2_paths", None), ("strike", "100"), ("rate", float("nan")), ("s0", False),
+    ])
+    def test_mistyped_field_is_config_error(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**{field: value}).validate()
+        assert err.value.field == field
+
     def test_from_json_unknown_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dimension": 2}))
@@ -90,6 +99,12 @@ class TestRunAndSweep:
         assert len(table.rows) == 1
         assert len(table.failures) == 1
         assert "dim" in str(table.failures[0])
+
+    def test_sweep_records_mistyped_cells(self):
+        table = sweep(_tiny(replications=1), {"dim": ["a", 1], "steps": [2, 2.5]})
+        assert len(table.rows) == 1
+        assert [f["cell"] for f in table.failures] == [
+            {"dim": "a", "steps": 2}, {"dim": "a", "steps": 2.5}, {"dim": 1, "steps": 2.5}]
 
     def test_sweep_rejects_unknown_axis(self):
         with pytest.raises(ConfigError):
@@ -181,6 +196,15 @@ class TestCli:
     ])
     def test_malformed_arguments_exit_one(self, argv, capsys):
         assert main(argv + ["--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"n_steps": 2.5}, {"replications": 2.0}, {"seed": "x"}, {"m2_eps": 0.001},
+    ])
+    def test_mistyped_config_file_exits_one(self, data, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_steps": 2, "log2_paths": 5, "replications": 1, **data}))
+        assert main(["price", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])

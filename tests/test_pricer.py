@@ -28,10 +28,10 @@ from mcmpricer import (
     simulate_paths,
     tree_american_put,
 )
-from mcmpricer import pricer
+from mcmpricer import pricer, ratio
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError
 from mcmpricer.pricer import _ls_sweep, _mcm_sweep, tree_converged
-from mcmpricer.ratio import M2_MAX_ITER, pooled_plan
+from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
 from conftest import BENCH_RATE
 
@@ -173,8 +173,8 @@ class TestEngine:
             else:
                 kern = pricer._raw_kernel(paths, k, x, "P2opt")
             calls.clear()
-            plan = pricer._date_plan(kern, cf, calibration, 1e-3)
-            ref_calls, ref_plan = _normalised_matrix_pilot(kern, cf, calibration, 1e-3)
+            plan = pricer._date_plan(kern, cf, calibration)
+            ref_calls, ref_plan = _normalised_matrix_pilot(kern, cf, calibration)
             assert (plan.regime, plan.n, plan.n_prime) == (ref_plan.regime, ref_plan.n, ref_plan.n_prime)
             assert len(calls) == len(ref_calls)
             if calibration == "M2":
@@ -214,15 +214,17 @@ class TestEngine:
             else:
                 assert len(plans_per_date) == 3 and max(plans_per_date) > 1
 
-    def test_m2_plan_flags_the_iteration_cap(self):
-        # eps = 0 is never met, so the fixed point stops at its cap; eps = 1 at the first round
+    def test_m2_plan_flags_the_iteration_cap(self, monkeypatch):
+        # M2_EPS = 0 is never met, so the fixed point stops at its cap; M2_EPS = 1 at the first round
         payoff = Payoff("geometric_put", 2, 100.0)
         paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=87)
         s_k = paths.s[:, 2, :]
         kern = pricer._conditioned_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt", "M2")
         cf = payoff(paths.s[:, -1, :])
-        assert not pricer._date_plan(kern, cf, "M2", 0.0).converged
-        assert pricer._date_plan(kern, cf, "M2", 1.0).converged
+        monkeypatch.setattr(ratio, "M2_EPS", 0.0)
+        assert not pricer._date_plan(kern, cf, "M2").converged
+        monkeypatch.setattr(ratio, "M2_EPS", 1.0)
+        assert pricer._date_plan(kern, cf, "M2").converged
 
     def test_layer_functions_are_looked_up_in_the_pricer(self, tri_vol_2d, monkeypatch):
         # an outside tracer swaps exactly these names in mcmpricer.pricer
@@ -252,7 +254,7 @@ class TestEngine:
             assert expected <= set(called), (method, conditioning, dict(called))
 
 
-def _normalised_matrix_pilot(kern, cf, calibration, m2_eps):
+def _normalised_matrix_pilot(kern, cf, calibration):
     """Reference pilot: moments of a normalised copy of the weighted pilot matrix.
 
     Returns the (a, b, s1, s2, rho) of every pooled_plan call and the final plan.
@@ -291,7 +293,7 @@ def _normalised_matrix_pilot(kern, cf, calibration, m2_eps):
             b = kn[:, :msub].mean(axis=1)
         calls.append((a, b, s1, s2, rho))
         new = pooled_plan(a, b, s1, s2, rho, n)
-        if abs(new.lam - lam) < m2_eps:
+        if abs(new.lam - lam) < M2_EPS:
             return calls, new
         lam = new.lam
         plan = new

@@ -9,6 +9,7 @@ from mcmpricer import (
     sigma1_of_lambda,
     sigma2_of_lambda,
 )
+from mcmpricer import ratio
 from mcmpricer.errors import DenominatorMeanNearZeroError
 from mcmpricer.ratio import lambda_min, p2_preferred, pooled_plan, prefers_case1
 
@@ -177,14 +178,15 @@ class TestCalibration:
 
     def test_m2_fixed_point_converges(self):
         sampler = self._gaussian_sampler(1.0, 2.0, 1.0, 1.0, 0.3, seed=67)
-        plan = calibrate_m2(sampler, n_max=2**14, eps=1e-3)
+        plan = calibrate_m2(sampler, n_max=2**14)
         assert plan.converged
         target = lambda_min(plan.stats, plan.regime == "case1")
         assert abs(plan.lam - float(np.clip(target, 1 / 2**14, 1.0))) < 1e-3
 
-    def test_m2_iteration_cap_flags_nonconvergence(self):
+    def test_m2_iteration_cap_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(ratio, "M2_EPS", 1e-12)
         sampler = self._gaussian_sampler(0.5, 2.0, 4.0, 1.0, 0.6, seed=68)
-        plan = calibrate_m2(sampler, n_max=16, eps=1e-12)
+        plan = calibrate_m2(sampler, n_max=16)
         assert not plan.converged
 
     def test_m2_converges_at_clamped_lambda(self):
@@ -199,7 +201,7 @@ class TestCalibration:
                 z = np.concatenate([half, -half])
                 return 2.0 + z, 1.0 - z / 2.0
 
-            plan = calibrate_m2(sampler, n_max=8, eps=1e-3)
+            plan = calibrate_m2(sampler, n_max=8)
             assert plan.lam == 1.0 / 8.0, seed
             assert plan.converged, seed
 
@@ -214,7 +216,7 @@ class TestCalibration:
             s1, s2 = rng.uniform(0.1, 3.0, 2)
             draws.append((a, b, s1, s2, rng.uniform(-0.95, 0.95), int(rng.integers(2**31))))
         for a, b, s1, s2, rho, seed in draws:
-            plan = calibrate_m2(self._gaussian_sampler(a, b, s1, s2, rho, seed), n_max, eps=1e-3)
+            plan = calibrate_m2(self._gaussian_sampler(a, b, s1, s2, rho, seed), n_max)
             split = max(1, round(plan.lam * n_max))
             if plan.regime == "case1":
                 assert (plan.n, plan.n_prime) == (n_max, split), (a, b, s1, s2, rho, seed)
@@ -230,6 +232,28 @@ class TestCalibration:
         plan = pooled_plan(a, b, s1, s2, rho, n_max=1000)
         assert plan.regime == "case1"
         assert plan.lam == pytest.approx(0.5 + 0.5 / (2.0 * 2.0), abs=0.01)
+
+    def test_pooled_plan_is_the_single_query_plan_and_drops_degenerate_queries(self):
+        # one healthy query pools to its own optimal plan; queries with a NaN or
+        # infinite rho and a zero sigma, or with B under the floor, never vote
+        rng = np.random.default_rng(72)
+        names = ("a", "b", "sigma1", "sigma2", "rho")
+        pad = np.array([
+            [1.0, 1.0, 0.0, 1.0, np.nan],
+            [1.0, 1e-12, 1.0, 1.0, 0.5],
+            [2.0, 1.0, 1.0, 0.0, np.inf],
+            [0.5, 1.0, 0.0, 0.0, -np.inf],
+        ])
+        for _ in range(300):
+            s = _random_stats(rng)
+            n_max = int(rng.integers(1, 10**6))
+            single = optimal_plan(s, n_max)
+            plan = pooled_plan(*(np.array([getattr(s, f)]) for f in names), n_max)
+            assert (plan.regime, plan.lam, plan.n, plan.n_prime, plan.sigma) == (
+                single.regime, single.lam, single.n, single.n_prime, single.sigma)
+            batch = np.array([[getattr(_random_stats(rng), f) for f in names] for _ in range(5)])
+            padded = np.concatenate([batch, pad])[rng.permutation(len(batch) + len(pad))]
+            assert pooled_plan(*padded.T, n_max) == pooled_plan(*batch.T, n_max)
 
     def test_pooled_plan_all_degenerate(self):
         z = np.zeros(3)
