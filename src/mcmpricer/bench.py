@@ -63,6 +63,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind) or not -np.inf < value < np.inf:
                 raise ConfigError(name, f"must be a finite {kind.__name__.lower()} number, got {value!r}")
+        if not isinstance(self.conditioning, bool):
+            raise ConfigError("conditioning", f"must be true or false, got {self.conditioning!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out", f"must be a path string or null, got {self.out!r}")
         if self.method not in MCM_METHODS + ("LS",):
             raise ConfigError("method", f"must be one of {MCM_METHODS + ('LS',)}, got {self.method!r}")
         if self.calibration not in CALIBRATIONS:
@@ -316,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_scale = sub.add_parser("scaling", help="runtime vs parallelism degree")
     _add_common(p_scale)
-    p_scale.add_argument("--degrees", required=True, help="comma-separated worker counts, e.g. 1,2,4")
+    p_scale.add_argument("--degrees", required=True,
+                         help="comma-separated process counts, the calling process included, e.g. 1,2,4")
 
     args = parser.parse_args(argv)
     try:
@@ -350,6 +355,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,7 +25,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -416,31 +416,88 @@ def _worker_blas_threads(n_workers: int):
                 os.environ[name] = value
 
 
+class _LocalCounter:
+    """The claim counter of a call without workers: an int and a lock that never waits."""
+
+    value = 0
+
+    def get_lock(self):
+        return nullcontext()
+
+
+# the claim counter of a spawn worker, installed by _install_counter when it starts
+_worker_counter = None
+
+
+def _install_counter(counter) -> None:
+    """Pool initializer: a synchronized value reaches a spawn child only at its start."""
+    global _worker_counter
+    _worker_counter = counter
+
+
+def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
+    """Claim replication indices from ``counter`` and run ``job`` on each until none is left.
+
+    Returns the (index, result) pairs this process priced.  ``counter`` is
+    the call's shared counter (``value`` read and incremented under
+    ``get_lock()``); a spawn worker passes none and uses the one its pool
+    installed.  A failing job pushes the counter to ``replications``, so
+    every other process stops after the replication it is pricing.
+    """
+    counter = _worker_counter if counter is None else counter
+    out = []
+    try:
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                if i >= replications:
+                    return out
+                counter.value = i + 1
+            out.append((i, job(i)))
+    except BaseException:
+        with counter.get_lock():
+            counter.value = replications
+        raise
+
+
 def _replicate(
     sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, replications, n_workers
 ) -> PriceEstimate:
-    """Run ``replications`` sweeps, serially or on a spawn process pool, and aggregate.
+    """Run ``replications`` sweeps on ``n_workers`` processes, the caller included, and aggregate.
 
-    ``sweep`` is a picklable partial of _mcm_sweep or _ls_sweep.  Replication
+    ``sweep`` is a picklable partial of _mcm_sweep or _ls_sweep.  The call
+    starts min(n_workers, replications) - 1 spawn workers; the caller and
+    the workers claim replication indices from one shared counter until none
+    is left, so the caller prices while its workers start up.  Replication
     i simulates from replication_seed(seed, i), so the values are a pure
-    function of (seed, parameters), independent of n_workers.  Serial runs
-    keep BLAS threading as installed; the workers of a pool split the cores.
+    function of (seed, parameters), independent of n_workers.  The caller
+    keeps BLAS threading as installed; each worker gets max(1, cores //
+    n_workers) BLAS threads.
     """
     t0 = time.perf_counter()
     job = partial(_one_replication, sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed)
-    if n_workers <= 1 or replications == 1:
-        out = [job(i) for i in range(replications)]
+    n_spawn = min(n_workers, replications) - 1
+    if n_spawn < 1:
+        out = _drain(job, replications, _LocalCounter())
     else:
         # imported here: serial calls, and an import of the package, never load them
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
+        ctx = get_context("spawn")
+        counter = ctx.Value("q", 0)
         with _worker_blas_threads(n_workers), ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=get_context("spawn")
+            max_workers=n_spawn, mp_context=ctx, initializer=_install_counter, initargs=(counter,)
         ) as pool:
-            out = list(pool.map(job, range(replications)))
-    values = tuple(v for v, _ in out)
-    fallbacks = sum(f for _, f in out)
+            futures = [pool.submit(_drain, job, replications) for _ in range(n_spawn)]
+            out = _drain(job, replications, counter)
+            for future in futures:
+                out += future.result()
+        out.sort(key=lambda pair: pair[0])
+        if [i for i, _ in out] != list(range(replications)):
+            raise RuntimeError(f"replication indices came back as {[i for i, _ in out]}")
+    values = tuple(v for _, (v, _) in out)
+    fallbacks = sum(f for _, (_, f) in out)
     std = float(np.std(values)) if len(values) > 1 else 0.0
     return PriceEstimate(float(np.mean(values)), std, values, fallbacks, time.perf_counter() - t0)
 
@@ -463,8 +520,11 @@ def price_mcm(
     """Replicated Malliavin-weight Monte Carlo price.
 
     Each replication simulates its own paths from a derived seed and runs the
-    backward induction with the chosen continuation estimator.  Results are a
-    pure function of (seed, parameters), independent of n_workers.
+    backward induction with the chosen continuation estimator.  ``n_workers``
+    processes price the replications, the caller included; spawn workers get
+    max(1, cores // n_workers) BLAS threads and the caller keeps its own.
+    Results are a pure function of (seed, parameters), independent of
+    n_workers.
 
     ``calibration`` sets how P2opt splits its samples.  The raw estimator
     (conditioning off, or vol that is not constant diagonal) has no closed
@@ -492,6 +552,8 @@ def price_ls(
     """Replicated Longstaff-Schwartz price.
 
     Basis: cubic monomials for d = 1, linear in the assets otherwise.
+    ``n_workers`` counts the processes that price, the caller included, as
+    in price_mcm.
     """
     basis = "monomials3" if payoff.dim == 1 else "linear"
     return _replicate(partial(_ls_sweep, basis=basis), payoff, vol_spec, maturity, n_steps, s0, r,

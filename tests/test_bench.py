@@ -51,6 +51,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("field,value", [
         ("dim", "a"), ("n_steps", 2.5), ("replications", 2.0), ("seed", "x"), ("threads", True),
         ("log2_paths", None), ("strike", "100"), ("rate", float("nan")), ("s0", False),
+        ("conditioning", "no"), ("conditioning", 1), ("out", 5),
     ])
     def test_mistyped_field_is_config_error(self, field, value):
         with pytest.raises(ConfigError) as err:
@@ -200,6 +201,7 @@ class TestCli:
 
     @pytest.mark.parametrize("data", [
         {"n_steps": 2.5}, {"replications": 2.0}, {"seed": "x"}, {"m2_eps": 0.001},
+        {"conditioning": "no"}, {"out": 5},
     ])
     def test_mistyped_config_file_exits_one(self, data, tmp_path, capsys):
         path = tmp_path / "cfg.json"

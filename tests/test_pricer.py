@@ -1,7 +1,11 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +367,104 @@ class TestPriceMcm:
     def test_ls_method_rejected(self):
         with pytest.raises(ValueError):
             price_mcm(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, seed=1, method="LS")
+
+
+# Sweeps for the pool tests, defined at module level so that spawn workers
+# unpickle them by reference.
+def _pid_sweep(paths, payoff):
+    """The value of a replication is the id of the process that priced it."""
+    return float(os.getpid()), 0
+
+
+def _caller_fails(caller, marks, paths, payoff):
+    """Raises in the calling process; a worker leaves one file in ``marks`` per replication."""
+    if os.getpid() == caller:
+        raise ZeroDivisionError("replication failed")
+    (Path(marks) / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+    return 0.0, 0
+
+
+def _worker_fails(caller, marks, paths, payoff):
+    """Raises in a worker; a replication of the caller waits up to 60 s until one has."""
+    flag = Path(marks) / "failed"
+    if os.getpid() != caller:
+        flag.touch()
+        raise ZeroDivisionError("replication failed")
+    deadline = time.monotonic() + 60.0
+    while not flag.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return 0.0, 0
+
+
+class _CheckedCounter:
+    """A claim counter that fails every access to ``value`` made outside its lock."""
+
+    def __init__(self):
+        self._value = 0
+        self.held = False
+
+    @contextmanager
+    def get_lock(self):
+        self.held = True
+        try:
+            yield
+        finally:
+            self.held = False
+
+    @property
+    def value(self):
+        assert self.held, "counter read outside its lock"
+        return self._value
+
+    @value.setter
+    def value(self, new):
+        assert self.held, "counter written outside its lock"
+        self._value = new
+
+
+def _small_replicate(sweep, replications, n_workers):
+    payoff = Payoff("geometric_put", 2, 100.0)
+    return pricer._replicate(sweep, payoff, 0.2, 1.0, 4, 100.0, BENCH_RATE, 2**9, 5,
+                             replications, n_workers)
+
+
+class TestReplicationPool:
+    @pytest.mark.parametrize("replications", [2, 3, 5])
+    def test_values_bitwise_equal_for_any_worker_count(self, replications):
+        sweep = partial(_mcm_sweep, method="P2opt", conditioning=True, calibration="closed")
+        serial = _small_replicate(sweep, replications, 1)
+        for n_workers in (2, 3, replications + 2):
+            assert _small_replicate(sweep, replications, n_workers).values == serial.values
+
+    def test_caller_prices_while_workers_start(self):
+        est = _small_replicate(_pid_sweep, 4, 3)
+        assert float(os.getpid()) in est.values
+
+    def test_claims_are_made_under_the_lock_in_index_order(self):
+        counter = _CheckedCounter()
+        assert pricer._drain(lambda i: i * i, 4, counter) == [(0, 0), (1, 1), (2, 4), (3, 9)]
+        assert counter._value == 4
+
+    def test_a_failing_claim_exhausts_the_counter(self):
+        def job(i):
+            if i == 1:
+                raise ZeroDivisionError
+            return i
+
+        counter = _CheckedCounter()
+        with pytest.raises(ZeroDivisionError):
+            pricer._drain(job, 5, counter)
+        assert counter._value == 5
+
+    @pytest.mark.parametrize("sweep", [_caller_fails, _worker_fails])
+    def test_failing_replication_reaches_the_caller_and_ends_the_pool(self, sweep, tmp_path):
+        replications = 5
+        with pytest.raises(ZeroDivisionError):
+            _small_replicate(partial(sweep, os.getpid(), str(tmp_path)), replications, 2)
+        assert multiprocessing.active_children() == []
+        # the failure stopped the claims: the worker did not price every replication left
+        priced = [p for p in tmp_path.iterdir() if p.name != "failed"]
+        assert len(priced) < replications - 1
 
 
 class TestPriceLs:
