@@ -1,7 +1,6 @@
 """Monte Carlo American option pricing with Malliavin-weight continuation
 estimators, closed-form conditioning, and optimal quotient sample splits."""
 
-from .bench import PriceTable, RunConfig, run, scaling_report, sweep
 from .kernels import (
     DiagonalKernelParams,
     conditioned_continuation,
@@ -44,6 +43,19 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+# The harness and CLI load on first use: ``python -m mcmpricer.bench`` then
+# finds the module unimported, and runpy runs it without a warning.
+_BENCH_NAMES = ("PriceTable", "RunConfig", "run", "scaling_report", "sweep")
+
+
+def __getattr__(name):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AssetPaths",

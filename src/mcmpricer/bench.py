@@ -355,3 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     return 0
 
+
+if __name__ == "__main__":
+    sys.exit("mcmpricer.bench has no command line of its own; run python -m mcmpricer "
+             "(price, sweep or scaling) instead")

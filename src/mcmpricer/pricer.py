@@ -26,7 +26,7 @@ import os
 import time
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -125,19 +125,49 @@ class _DateKernel:
 
     ``rows(lo, hi, s_lo, s_hi, out)`` writes K for queries lo..hi-1 against
     samples s_lo..s_hi-1 into ``out`` (shape (hi-lo, s_hi-s_lo)) and returns
-    it: exp(U V^T) for the conditioned estimator, the indicator 1{S_s >= x}
-    for the raw one, whose per-sample weight Gamma / prod S_s is ``weight``.
-    ``closed_b`` is the closed-form denominator (P1) and ``closed_s2`` the
-    closed-form denominator std (closed calibration); a denominator at or
-    below ``floor`` is degenerate.
+    it, by ``build(queries[lo:hi], samples[:, s_lo:s_hi], out)``: exp(U V^T)
+    for the conditioned estimator (queries U, samples V^T), the indicator
+    1{S_s >= x} for the raw one (queries x, samples S_s^T), whose per-sample
+    weight Gamma / prod S_s is ``weight``.  ``closed_b`` is the closed-form
+    denominator (P1) and ``closed_s2`` the closed-form denominator std
+    (closed calibration); a denominator at or below ``floor`` is degenerate.
     """
 
-    n_queries: int
-    rows: Callable[[int, int, int, int, np.ndarray], np.ndarray]
+    queries: np.ndarray
+    samples: np.ndarray
+    build: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     weight: np.ndarray | None
     closed_b: np.ndarray | None
     closed_s2: np.ndarray | None
     floor: float
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.queries)
+
+    def rows(self, lo: int, hi: int, s_lo: int, s_hi: int, out: np.ndarray) -> np.ndarray:
+        return self.build(self.queries[lo:hi], self.samples[:, s_lo:s_hi], out)
+
+    def restrict(self, idx: np.ndarray) -> _DateKernel:
+        """The same kernel over the samples ``idx`` only, renumbered 0..len(idx)-1."""
+        weight = None if self.weight is None else self.weight[idx]
+        # take keeps the sample rows C-contiguous; samples[:, idx] comes back
+        # column-major, and the conditioned tile matmul then runs ~10x slower
+        return replace(self, samples=np.take(self.samples, idx, axis=1), weight=weight)
+
+
+def _exp_rows(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(u, vt, out=out)
+    return np.exp(out, out=out)
+
+
+def _indicator_rows(x: np.ndarray, s_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # out[q, p] = 1.0 if S_s^p >= x_q componentwise
+    acc = s_t[0] >= x[:, 0, None]
+    for j in range(1, len(s_t)):
+        acc &= s_t[j] >= x[:, j, None]
+    np.copyto(out, acc)
+    return out
 
 
 def _kernel_params(paths: AssetPaths, k: int) -> DiagonalKernelParams:
@@ -160,12 +190,7 @@ def _conditioned_kernel(
     closed_s2 = None
     if closed:
         closed_s2 = np.sqrt(np.maximum(kernel_second_moment(params, x_itm) - closed_b**2, 0.0))
-
-    def rows(lo, hi, s_lo, s_hi, out):
-        np.matmul(u[lo:hi], vt[:, s_lo:s_hi], out=out)
-        return np.exp(out, out=out)
-
-    return _DateKernel(len(u), rows, None, closed_b, closed_s2, KERNEL_DEN_FLOOR)
+    return _DateKernel(u, vt, _exp_rows, None, closed_b, closed_s2, KERNEL_DEN_FLOOR)
 
 
 def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
@@ -177,17 +202,8 @@ def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _D
         params = _kernel_params(paths, k)
         scale = params.sigma * params.s * (params.t - params.s)
         closed_b = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
-
-    def rows(lo, hi, s_lo, s_hi, out):
-        # out[q, p] = 1.0 if S_s^p >= x_q componentwise
-        x = x_itm[lo:hi]
-        acc = s_t[0, s_lo:s_hi] >= x[:, 0, None]
-        for j in range(1, len(s_t)):
-            acc &= s_t[j, s_lo:s_hi] >= x[:, j, None]
-        np.copyto(out, acc)
-        return out
-
-    return _DateKernel(len(x_itm), rows, w, closed_b, None, DEN_FLOOR_SCALE * float(np.mean(np.abs(w))))
+    floor = DEN_FLOOR_SCALE * float(np.mean(np.abs(w)))
+    return _DateKernel(x_itm, s_t, _indicator_rows, w, closed_b, None, floor)
 
 
 def _tile_sums(
@@ -195,11 +211,25 @@ def _tile_sums(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """K @ rhs, and (K * K) @ rhs_sq when given, for queries 0..n_q-1 over samples 0..m-1.
 
-    K is built one QUERY_TILE x SAMPLE_TILE tile at a time in one reused
-    buffer; each tile is multiplied by its rows of ``rhs``, then squared in
-    place and multiplied by its rows of ``rhs_sq``, and the products are
-    summed into per-query accumulators.
+    ``rhs`` and ``rhs_sq`` hold one row per sample.  K is built only on the
+    support, the samples whose row of ``rhs`` or ``rhs_sq`` is not all zero:
+    a zero row adds nothing to the sums.  When the support is smaller than
+    m (a case-2 numerator past n, a cash flow that is zero on most paths),
+    the loop runs over the kernel restricted to it; otherwise over the
+    date's own sample arrays, unchanged.  K is built one QUERY_TILE x
+    SAMPLE_TILE tile at a time in one reused buffer; each tile is multiplied
+    by its rows of ``rhs``, then squared in place and multiplied by its rows
+    of ``rhs_sq``, and the products are summed into per-query accumulators.
     """
+    # column by column: np.any(axis=1) over two or three columns is 3-5x slower
+    nonzero = np.zeros(m, dtype=bool)
+    for r in (rhs,) if rhs_sq is None else (rhs, rhs_sq):
+        for col in r.T:
+            nonzero |= col != 0.0
+    support = np.flatnonzero(nonzero)
+    if len(support) < m:
+        kern, m, rhs = kern.restrict(support), len(support), rhs[support]
+        rhs_sq = None if rhs_sq is None else rhs_sq[support]
     sums = np.zeros((n_q, rhs.shape[1]))
     sums_sq = None if rhs_sq is None else np.zeros((n_q, rhs_sq.shape[1]))
     buf = np.empty(min(QUERY_TILE, n_q) * min(SAMPLE_TILE, m))

@@ -226,3 +226,14 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[0] == "method,payoff,dim,steps,paths,price,std,fallbacks,runtime_ms"
         assert out.stderr == ""
+
+    def test_python_dash_m_bench_exits_with_one_line_naming_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "mcmpricer.bench", "price", "--steps", "2"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode != 0
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and "python -m mcmpricer " in lines[0], out.stderr

@@ -5,6 +5,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -302,6 +303,146 @@ def _normalised_matrix_pilot(kern, cf, calibration):
         lam = new.lam
         plan = new
     return calls, plan
+
+
+def _full_range_tile_sums(kern, n_q, m, rhs, rhs_sq=None):
+    """The tile loop over every sample 0..m-1, whatever its row of the right-hand side."""
+    sums = np.zeros((n_q, rhs.shape[1]))
+    sums_sq = None if rhs_sq is None else np.zeros((n_q, rhs_sq.shape[1]))
+    buf = np.empty(min(pricer.QUERY_TILE, n_q) * min(pricer.SAMPLE_TILE, m))
+    for lo in range(0, n_q, pricer.QUERY_TILE):
+        hi = min(lo + pricer.QUERY_TILE, n_q)
+        for s_lo in range(0, m, pricer.SAMPLE_TILE):
+            s_hi = min(s_lo + pricer.SAMPLE_TILE, m)
+            tile = buf[: (hi - lo) * (s_hi - s_lo)].reshape(hi - lo, s_hi - s_lo)
+            kern.rows(lo, hi, s_lo, s_hi, tile)
+            sums[lo:hi] += tile @ rhs[s_lo:s_hi]
+            if rhs_sq is not None:
+                sums_sq[lo:hi] += np.square(tile, out=tile) @ rhs_sq[s_lo:s_hi]
+    return sums, sums_sq
+
+
+def _full_range_kernel_sums(kern, cf, n_num, n_den):
+    """Numerator and denominator means from the full-range tile loop."""
+    m = max(n_num, n_den)
+    w = np.ones(m) if kern.weight is None else kern.weight
+    rhs = np.zeros((m, 2))
+    rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
+    rhs[:n_den, 1] = w[:n_den] / n_den
+    sums, _ = _full_range_tile_sums(kern, kern.n_queries, m, rhs)
+    return sums[:, 0], sums[:, 1]
+
+
+def _counting(kern):
+    """``kern`` with a row builder that records, per tile, its entry count and
+    whether its samples are a view of kern's own sample array."""
+    tiles = []
+
+    def build(queries, samples, out):
+        tiles.append((out.size, np.shares_memory(samples, kern.samples)))
+        return kern.build(queries, samples, out)
+
+    return replace(kern, build=build), tiles
+
+
+class TestKernelSupport:
+    """The tile sums build K only on samples whose right-hand-side row is not all zero."""
+
+    @pytest.fixture
+    def kernels(self, tri_vol_2d, monkeypatch):
+        # 2 x 1000 tiles: seven queries and 2^12 samples are ragged on both tile axes
+        monkeypatch.setattr(pricer, "QUERY_TILE", 2)
+        monkeypatch.setattr(pricer, "SAMPLE_TILE", 1000)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        diag = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=85)
+        tri = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=86)
+        k = 2
+        out = []
+        for paths, conditioning in ((diag, True), (diag, False), (tri, False)):
+            s_k = paths.s[:, k, :]
+            intrinsic = payoff(s_k)
+            itm = np.flatnonzero(intrinsic > 0.0)
+            x = s_k[itm[np.argsort(intrinsic[itm])[:7]]]
+            if conditioning:
+                kern = pricer._conditioned_kernel(paths, k, x, "P2eq", "M1")
+            else:
+                kern = pricer._raw_kernel(paths, k, x, "P2eq")
+            # a put never exercised pays nothing on the paths that end out of the money
+            cf = payoff(paths.s[:, -1, :])
+            assert 0 < np.count_nonzero(cf) < len(cf)
+            out.append((kern, cf))
+        return out
+
+    def test_sums_match_the_full_range_loop(self, kernels):
+        for kern, cf in kernels:
+            n, n_q = len(cf), kern.n_queries
+            w = np.ones(n) if kern.weight is None else kern.weight
+            # case-2 main sums: the numerator runs past the denominator's n over a zero-cf tail
+            for n_num, n_den in ((n, 1500), (n, 1)):
+                got = pricer._kernel_sums(kern, cf, n_num, n_den)
+                want = _full_range_kernel_sums(kern, cf, n_num, n_den)
+                for g, v in zip(got, want):
+                    np.testing.assert_allclose(g, v, rtol=1e-12, atol=0.0)
+            # a case-1 M2 round: the cf * w prefix alone
+            msub = 2500
+            rhs = (cf * w)[:msub, None] / msub
+            got, _ = pricer._tile_sums(kern, n_q, msub, rhs)
+            np.testing.assert_allclose(got, _full_range_tile_sums(kern, n_q, msub, rhs)[0],
+                                       rtol=1e-12, atol=0.0)
+            # an all-zero right-hand side builds nothing and sums to zero
+            got, got_sq = pricer._tile_sums(kern, n_q, n, np.zeros((n, 2)), np.zeros((n, 3)))
+            assert not got.any() and not got_sq.any()
+            assert got.shape == (n_q, 2) and got_sq.shape == (n_q, 3)
+
+    def test_entries_built_are_queries_times_support(self, kernels):
+        for kern, cf in kernels:
+            n, n_q = len(cf), kern.n_queries
+            w = np.ones(n) if kern.weight is None else kern.weight
+            rhs = np.zeros((n, 2))
+            rhs[:, 0] = cf * w / n
+            rhs[:1500, 1] = w[:1500] / 1500
+            rhs_sq = np.zeros((n, 1))
+            rhs_sq[-3:, 0] = 1.0     # a row that is zero in rhs but not in rhs_sq stays
+            for args in ((rhs,), (rhs, rhs_sq), (np.zeros((n, 2)),)):
+                support = np.any(np.concatenate(args, axis=1) != 0.0, axis=1)
+                counting, tiles = _counting(kern)
+                pricer._tile_sums(counting, n_q, n, *args)
+                assert sum(size for size, _ in tiles) == n_q * np.count_nonzero(support)
+            # a full support builds n_q * m entries on the date's own sample arrays, no copy
+            for m, rhs in ((n, np.stack([cf * w, w], axis=1) / n), (2500, w[:2500, None])):
+                counting, tiles = _counting(kern)
+                pricer._tile_sums(counting, n_q, m, rhs)
+                assert sum(size for size, _ in tiles) == n_q * m
+                assert all(own for _, own in tiles)
+
+    def test_full_support_is_bitwise_the_full_range_loop(self, kernels):
+        for kern, cf in kernels:
+            n, n_q = len(cf), kern.n_queries
+            w = np.ones(n) if kern.weight is None else kern.weight
+            cfw = cf * w
+            # the pilot's moments, and the P1 / P2eq / case-1 main sums
+            rhs = np.stack([cfw, w, np.abs(w)], axis=1) / n
+            rhs_sq = np.stack([cfw * w, w * w, cfw * cfw], axis=1) / n
+            for got, want in zip(pricer._tile_sums(kern, n_q, n, rhs, rhs_sq),
+                                 _full_range_tile_sums(kern, n_q, n, rhs, rhs_sq)):
+                assert np.array_equal(got, want)
+            for n_num in (n, 1500):
+                for got, want in zip(pricer._kernel_sums(kern, cf, n_num, n),
+                                     _full_range_kernel_sums(kern, cf, n_num, n)):
+                    assert np.array_equal(got, want)
+
+    def test_restricted_kernel_is_the_sample_slice(self, kernels):
+        for kern, cf in kernels:
+            n, n_q = len(cf), kern.n_queries
+            idx = np.flatnonzero(cf)
+            sub = kern.restrict(idx)
+            # row-major like the date's own samples, which the tile matmul reads fastest
+            assert sub.samples.flags.c_contiguous
+            full = kern.rows(0, n_q, 0, n, np.empty((n_q, n)))
+            np.testing.assert_allclose(sub.rows(0, n_q, 0, len(idx), np.empty((n_q, len(idx)))),
+                                       full[:, idx], rtol=1e-14, atol=0.0)
+            if kern.weight is not None:
+                assert np.array_equal(sub.weight, kern.weight[idx])
 
 
 class TestTooling:
