@@ -3,17 +3,18 @@
 A quotient of two Monte Carlo means has an asymptotic variance that depends
 on how the budget is split between numerator and denominator; even with
 uncorrelated samples the optimum is a half split.  This demo maps the
-variance profile, calibrates the split from samples (M1 and the fixed-point
-M2), and validates the prediction by brute-force replication.
+variance profile, validates the prediction by brute-force replication, and
+prices with the split calibrated in closed form, by one pilot pass (M1) and
+by the fixed point (M2).
 """
 
 import numpy as np
 
 from mcmpricer import (
+    Payoff,
     QuotientStats,
-    calibrate_m1,
-    calibrate_m2,
     optimal_plan,
+    price_mcm,
     sigma1_of_lambda,
     sigma2_of_lambda,
 )
@@ -28,7 +29,9 @@ f = sigma1_of_lambda if case1 else sigma2_of_lambda
 for lam in (0.25, 0.5, plan.lam, 0.75, 1.0):
     print(f"  Sigma(lambda={lam:.3f}) = {f(stats, lam):.4f}")
 
-# Calibrate from synthetic correlated pairs.
+# Brute-force check on synthetic correlated pairs: empirical variance at the
+# optimum vs the full split.  In this regime (case 2) the split blends a
+# paired and an independent numerator mean against the shared denominator.
 rng = np.random.default_rng(0)
 
 
@@ -38,13 +41,7 @@ def sampler(n):
     return 1.0 + z1, 2.0 + z2
 
 
-print("\nM1 plan:", calibrate_m1(sampler, 2**16).lam)
-m2 = calibrate_m2(sampler, 2**14)
-print("M2 plan:", m2.lam, "converged:", m2.converged)
-
-# Brute-force check: empirical variance at the optimum vs the full split.
-# In this regime (case 2) the split blends a paired and an independent
-# numerator mean against the shared denominator.
+print()
 n, reps = 2**12, 4000
 for lam in (plan.lam, 1.0):
     qs = []
@@ -55,3 +52,13 @@ for lam in (plan.lam, 1.0):
         qs.append(num / y.mean())
     pred = f(stats, lam) / n
     print(f"lambda={lam:.3f}: empirical var {np.var(qs):.3e}   predicted {pred:.3e}")
+
+# The pricer calibrates the split of P2opt at every exercise date, pooled
+# over the in-the-money queries: from the closed-form kernel moments, from
+# one pilot pass (M1), or by the M2 fixed point on the pilot's samples.
+print()
+payoff = Payoff("geometric_put", 1, 100.0)
+for calibration in ("closed", "M1", "M2"):
+    est = price_mcm(payoff, 0.2, 1.0, 10, 100.0, np.log(1.1), 2**10, seed=42, method="P2opt",
+                    replications=8, calibration=calibration)
+    print(f"P2opt, {calibration:>6} calibration: {est.price:.4f} (spread {est.std:.4f})")

@@ -25,12 +25,9 @@ from .pricer import (
 from .ratio import (
     QuotientPlan,
     QuotientStats,
-    calibrate_m1,
-    calibrate_m2,
     optimal_plan,
     sigma1_of_lambda,
     sigma2_of_lambda,
-    stats_from_samples,
 )
 from .rng import replication_seed, splitmix64, stream_normals
 from .weights import (
@@ -69,8 +66,6 @@ __all__ = [
     "TimeGrid",
     "TriangularVol",
     "build_vol",
-    "calibrate_m1",
-    "calibrate_m2",
     "compute_pi",
     "compute_pi_covariance",
     "conditional_expectation_check",
@@ -97,7 +92,6 @@ __all__ = [
     "sigma2_of_lambda",
     "simulate_paths",
     "splitmix64",
-    "stats_from_samples",
     "stream_normals",
     "sweep",
     "tree_american_put",

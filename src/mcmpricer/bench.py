@@ -32,6 +32,7 @@ from .pricer import MCM_METHODS, Payoff, price_ls, price_mcm
 
 ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
+SCALING_COLUMNS = ("degree", "runtime_ms", "speedup", "price", "std")
 CALIBRATIONS = ("closed", "M1", "M2")
 NUMBER_FIELDS = {**dict.fromkeys(("dim", "n_steps", "log2_paths", "replications", "seed", "threads"), Integral),
                  **dict.fromkeys(("strike", "maturity", "rate", "s0"), Real)}
@@ -128,26 +129,10 @@ class PriceTable:
         self.rows.sort(key=lambda r: (r["method"], r["payoff"], r["dim"], r["steps"], r["paths"]))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=TABLE_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return buf.getvalue()
+        return _csv_text(TABLE_COLUMNS, self.rows)
 
     def to_json(self) -> str:
         return json.dumps({"rows": self.rows, "failures": self.failures}, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PriceTable":
-        table = cls()
-        for row in csv.DictReader(io.StringIO(text)):
-            table.add(
-                method=row["method"], payoff=row["payoff"],
-                dim=int(row["dim"]), steps=int(row["steps"]), paths=int(row["paths"]),
-                price=float(row["price"]), std=float(row["std"]),
-                fallbacks=int(row["fallbacks"]), runtime_ms=float(row["runtime_ms"]),
-            )
-        return table
 
     def content_key(self) -> tuple:
         """Row contents excluding runtime columns, for determinism checks."""
@@ -156,13 +141,24 @@ class PriceTable:
         )
 
     def write(self, path: str) -> None:
-        base, ext = os.path.splitext(path)
-        csv_path = path if ext.lower() == ".csv" else base + ".csv"
-        json_path = base + ".json"
-        with open(csv_path, "w") as fh:
-            fh.write(self.to_csv())
-        with open(json_path, "w") as fh:
-            fh.write(self.to_json())
+        _write_outputs(path, self.to_csv(), self.to_json())
+
+
+def _csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_outputs(path: str, csv_text: str, json_text: str) -> None:
+    """Write the CSV to ``path`` (its .csv sibling for another extension) and the JSON next to it."""
+    base, ext = os.path.splitext(path)
+    with open(path if ext.lower() == ".csv" else base + ".csv", "w") as fh:
+        fh.write(csv_text)
+    with open(base + ".json", "w") as fh:
+        fh.write(json_text)
 
 
 def _run_cell(config: RunConfig) -> dict:
@@ -340,13 +336,10 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError("degrees", f"must be comma-separated integers: {exc}") from exc
             rows = scaling_report(config, degrees)
-            writer = csv.DictWriter(sys.stdout, fieldnames=["degree", "runtime_ms", "speedup", "price", "std"],
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            text = _csv_text(SCALING_COLUMNS, rows)
+            sys.stdout.write(text)
             if config.out:
-                with open(config.out, "w") as fh:
-                    json.dump(rows, fh, indent=2)
+                _write_outputs(config.out, text, json.dumps(rows, indent=2))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

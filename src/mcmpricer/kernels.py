@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, NotDiagonalError
 from .market_model import AssetPaths, TriangularVol
-from .weights import raw_continuation
 
 # A kernel mean at or below this has underflowed: the pricer's engine and
 # conditioned_continuation treat it as a degenerate denominator
@@ -60,8 +59,9 @@ class DiagonalKernelParams:
     def from_model(cls, vol: TriangularVol, s: float, t: float, rate: float, s0) -> "DiagonalKernelParams":
         if not (vol.is_diagonal and vol.is_constant):
             raise NotDiagonalError("closed-form kernels need constant diagonal volatility")
+        sigma = np.diagonal(vol.mats[0]).copy()
         s0 = np.broadcast_to(np.asarray(s0, dtype=float), (vol.dim,))
-        return cls(sigma=vol.diagonal_sigmas(), s=float(s), t=float(t), rate=float(rate), s0=s0.copy())
+        return cls(sigma=sigma, s=float(s), t=float(t), rate=float(rate), s0=s0.copy())
 
     def bump(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Per-asset centre y(x) and log height c(x) of the bump in q w; ``x`` is (d,) or (..., d)."""
@@ -147,11 +147,9 @@ def conditioned_continuation(
 
     Returns the MC means of g(S_t) prod_k h_k(x_k, W_t^k) and of the kernel
     product over all paths: the single-query reference for the pricer's
-    engine.  Falls back to the unconditioned raw estimator when the
-    volatility is not constant diagonal.
+    engine.  Raises NotDiagonalError unless the volatility is constant
+    diagonal.
     """
-    if not (paths.vol.is_diagonal and paths.vol.is_constant):
-        return raw_continuation(paths, s_index, t_index, x, values)
     dates = paths.grid.dates
     s, t = float(dates[s_index]), float(dates[t_index])
     params = DiagonalKernelParams.from_model(paths.vol, s, t, paths.rate, paths.s0)

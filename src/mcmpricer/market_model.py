@@ -36,10 +36,6 @@ class TimeGrid:
         dates = np.linspace(0.0, float(self.maturity), int(self.n_steps) + 1)
         object.__setattr__(self, "dates", dates)
 
-    @property
-    def dt(self) -> float:
-        return float(self.maturity) / float(self.n_steps)
-
 
 @dataclass(frozen=True, eq=False)
 class TriangularVol:
@@ -63,12 +59,6 @@ class TriangularVol:
     @property
     def is_constant(self) -> bool:
         return self.mats.shape[0] == 1 or bool(np.all(self.mats == self.mats[0]))
-
-    def diagonal_sigmas(self) -> np.ndarray:
-        """Constant per-asset vols; only meaningful for constant diagonal vol."""
-        if not (self.is_diagonal and self.is_constant):
-            raise ValueError("diagonal_sigmas requires constant diagonal volatility")
-        return np.diagonal(self.mats[0]).copy()
 
     def overlaps(self, a: float, b: float) -> list[tuple[int, float]]:
         """(interval index, overlap length) pairs covering [a, b]."""
@@ -169,7 +159,6 @@ class AssetPaths:
     grid: TimeGrid
     s0: np.ndarray
     rate: float
-    seed: int
     union: np.ndarray
     exercise_idx: np.ndarray
     w: np.ndarray
@@ -277,6 +266,6 @@ def simulate_paths(
         fill_block(lo, hi, b)
 
     return AssetPaths(
-        vol=vol, grid=grid, s0=s0, rate=float(r), seed=int(seed),
+        vol=vol, grid=grid, s0=s0, rate=float(r),
         union=union, exercise_idx=ex_idx, w=w, s=s, y=y,
     )

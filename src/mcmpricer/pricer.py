@@ -25,7 +25,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -446,15 +446,6 @@ def _worker_blas_threads(n_workers: int):
                 os.environ[name] = value
 
 
-class _LocalCounter:
-    """The claim counter of a call without workers: an int and a lock that never waits."""
-
-    value = 0
-
-    def get_lock(self):
-        return nullcontext()
-
-
 # the claim counter of a spawn worker, installed by _install_counter when it starts
 _worker_counter = None
 
@@ -470,9 +461,10 @@ def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
 
     Returns the (index, result) pairs this process priced.  ``counter`` is
     the call's shared counter (``value`` read and incremented under
-    ``get_lock()``); a spawn worker passes none and uses the one its pool
-    installed.  A failing job pushes the counter to ``replications``, so
-    every other process stops after the replication it is pricing.
+    ``get_lock()``); the caller passes it, and a spawn worker passes none
+    and uses the one its pool installed.  A failing job pushes the counter
+    to ``replications``, so every other process stops after the replication
+    it is pricing.
     """
     counter = _worker_counter if counter is None else counter
     out = []
@@ -502,13 +494,16 @@ def _replicate(
     i simulates from replication_seed(seed, i), so the values are a pure
     function of (seed, parameters), independent of n_workers.  The caller
     keeps BLAS threading as installed; each worker gets max(1, cores //
-    n_workers) BLAS threads.
+    n_workers) BLAS threads.  Raises ValueError, before any process starts,
+    when ``replications`` or ``n_workers`` is below 1.
     """
+    if replications < 1 or n_workers < 1:
+        raise ValueError(f"replications and n_workers must be >= 1, got {replications} and {n_workers}")
     t0 = time.perf_counter()
     job = partial(_one_replication, sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed)
     n_spawn = min(n_workers, replications) - 1
     if n_spawn < 1:
-        out = _drain(job, replications, _LocalCounter())
+        out = [(i, job(i)) for i in range(replications)]
     else:
         # imported here: serial calls, and an import of the package, never load them
         from concurrent.futures import ProcessPoolExecutor

@@ -65,16 +65,6 @@ class QuotientPlan:
     converged: bool = True
 
 
-def stats_from_samples(xs: np.ndarray, ys: np.ndarray) -> QuotientStats:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    s1 = float(np.std(xs))
-    s2 = float(np.std(ys))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.mean((xs - xs.mean()) * (ys - ys.mean())) / (s1 * s2)
-    return QuotientStats(float(np.mean(xs)), float(np.mean(ys)), s1, s2, float(rho))
-
-
 def sigma1_of_lambda(stats: QuotientStats, lam: float) -> float:
     """Case-1 asymptotic variance of the normalised quotient."""
     _check_b(stats)
@@ -171,33 +161,6 @@ def m2_fixed_point(plan: QuotientPlan, replan: Callable[[QuotientPlan], Quotient
             return new
         plan = new
     return replace(plan, converged=False)
-
-
-def calibrate_m1(sampler, n_max: int) -> QuotientPlan:
-    """One pilot pass over n_max sampled pairs, then the optimal plan."""
-    xs, ys = sampler(n_max)
-    return optimal_plan(stats_from_samples(xs, ys), n_max)
-
-
-def calibrate_m2(sampler, n_max: int) -> QuotientPlan:
-    """Fixed-point calibration: re-simulate the lambda-dependent statistic.
-
-    Keeps every statistic and the regime of the full pilot pass; each round
-    re-samples the statistic whose estimate depends on the split (A in
-    case 1, B in case 2) with lambda * n_max pairs (see m2_fixed_point).
-    """
-    plan = calibrate_m1(sampler, n_max)
-    case1 = plan.regime == "case1"
-
-    def replan(plan):
-        xs, ys = sampler(max(2, round(plan.lam * n_max)))
-        if case1:
-            stats = replace(plan.stats, a=float(np.mean(xs)))
-        else:
-            stats = replace(plan.stats, b=float(np.mean(ys)))
-        return _resolve(stats, case1, lambda_min(stats, case1), n_max)
-
-    return m2_fixed_point(plan, replan)
 
 
 def pooled_plan(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mcmpricer
-from mcmpricer.bench import ENV_THREADS, PriceTable, RunConfig, main, run, scaling_report, sweep
+from mcmpricer.bench import ENV_THREADS, RunConfig, main, run, scaling_report, sweep
 from mcmpricer.errors import ConfigError
 
 
@@ -120,11 +120,6 @@ class TestRunAndSweep:
 
 
 class TestPersistence:
-    def test_csv_round_trip_field_identical(self, tmp_path):
-        table = run(_tiny())
-        back = PriceTable.from_csv(table.to_csv())
-        assert back.rows == table.rows
-
     def test_write_creates_csv_and_json_mirror(self, tmp_path):
         table = run(_tiny())
         out = tmp_path / "table.csv"
@@ -180,6 +175,17 @@ class TestCli:
                      "--degrees", "1,1"])
         assert code == 0
         assert "speedup" in capsys.readouterr().out
+
+    def test_scaling_out_writes_the_printed_csv_and_a_json_mirror(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["scaling", "--steps", "2", "--log2-paths", "5", "--replications", "2",
+                     "--degrees", "1,1", "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("degree,runtime_ms,speedup,price,std\n")
+        assert out.read_text() == printed
+        rows = json.loads((tmp_path / "t.json").read_text())
+        assert [row["degree"] for row in rows] == [1, 1]
 
     def test_env_var_default_threads(self, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "3")
@@ -237,3 +243,8 @@ class TestCli:
         assert out.stdout == ""
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and "python -m mcmpricer " in lines[0], out.stderr
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mcmpricer.__all__ if not hasattr(mcmpricer, name)]
+    assert missing == []

@@ -190,12 +190,11 @@ class TestConditionedContinuation:
         num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 100.0, ones)
         assert num / den == 1.0
 
-    def test_falls_back_to_raw_for_triangular_vol(self, tri_vol_2d):
-        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 2), 100.0, 0.0, 4096, seed=36)
+    def test_rejects_triangular_vol(self, tri_vol_2d):
+        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 2), 100.0, 0.0, 64, seed=36)
         g = np.maximum(100.0 - paths.s[:, -1, :].min(axis=-1), 0.0)
-        a = conditioned_continuation(paths, 1, 2, 90.0, g)
-        b = raw_continuation(paths, 1, 2, 90.0, g)
-        assert a == b
+        with pytest.raises(NotDiagonalError):
+            conditioned_continuation(paths, 1, 2, 90.0, g)
 
     def test_rao_blackwell_1d(self):
         # matched seeds: conditioning agrees with raw and shrinks the spread

@@ -577,6 +577,19 @@ class TestReplicationPool:
         for n_workers in (2, 3, replications + 2):
             assert _small_replicate(sweep, replications, n_workers).values == serial.values
 
+    @pytest.mark.parametrize("price", [price_mcm, price_ls])
+    @pytest.mark.parametrize("replications,n_workers", [(0, 1), (-1, 2), (4, 0), (4, -3)])
+    def test_out_of_range_counts_raise_before_any_work(self, price, replications, n_workers, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a replication or a worker started")
+
+        monkeypatch.setattr(pricer, "simulate_paths", started)
+        monkeypatch.setattr(multiprocessing, "get_context", started)
+        with pytest.raises(ValueError, match="replications and n_workers must be >= 1"):
+            price(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, 1,
+                  replications=replications, n_workers=n_workers)
+        assert multiprocessing.active_children() == []
+
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)
         assert float(os.getpid()) in est.values

@@ -1,17 +1,22 @@
+from dataclasses import replace
+from itertools import cycle
+
 import numpy as np
 import pytest
 
-from mcmpricer import (
-    QuotientStats,
-    calibrate_m1,
-    calibrate_m2,
-    optimal_plan,
-    sigma1_of_lambda,
-    sigma2_of_lambda,
-)
-from mcmpricer import ratio
+from mcmpricer import QuotientStats, optimal_plan, sigma1_of_lambda, sigma2_of_lambda
 from mcmpricer.errors import DenominatorMeanNearZeroError
-from mcmpricer.ratio import lambda_min, p2_preferred, pooled_plan, prefers_case1
+from mcmpricer.ratio import (
+    M2_EPS,
+    M2_MAX_ITER,
+    lambda_min,
+    m2_fixed_point,
+    p2_preferred,
+    pooled_plan,
+    prefers_case1,
+)
+
+STATS_FIELDS = ("a", "b", "sigma1", "sigma2", "rho")
 
 
 def _random_stats(rng):
@@ -155,73 +160,88 @@ class TestQuotientEstimate:
         assert q.var() == pytest.approx(predicted, rel=0.15)
 
 
+def _m2_replan(stats, n_max, noise, calls=None):
+    """A deterministic M2 replan shaped as the pricer's.
+
+    The mean whose estimate depends on the split (A in case 1, B in case 2)
+    is re-estimated, here as its pilot value plus ``noise(plan)``, and the
+    plan is pooled again, so the regime may change between rounds.  Each
+    returned plan is appended to ``calls`` when given.
+    """
+
+    def replan(plan):
+        name = "a" if plan.regime == "case1" else "b"
+        new = replace(stats, **{name: getattr(stats, name) + noise(plan)})
+        out = pooled_plan(*(np.array([getattr(new, f)]) for f in STATS_FIELDS), n_max)
+        if calls is not None:
+            calls.append(out)
+        return out
+
+    return replan
+
+
 class TestCalibration:
-    @staticmethod
-    def _gaussian_sampler(a, b, s1, s2, rho, seed):
-        state = {"rng": np.random.default_rng(seed)}
-
-        def sampler(n):
-            rng = state["rng"]
-            z1 = rng.standard_normal(n)
-            z2 = rho * z1 + np.sqrt(1.0 - rho**2) * rng.standard_normal(n)
-            return a + s1 * z1, b + s2 * z2
-
-        return sampler
-
-    def test_m1_recovers_analytic_lambda(self):
-        sampler = self._gaussian_sampler(1.0, 2.0, 1.0, 1.0, 0.3, seed=66)
-        plan = calibrate_m1(sampler, n_max=2**16)
-        analytic = optimal_plan(QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**16)
-        # lambda is smooth in the moments; 3 sigma of its MC error ~ 0.01 here
-        assert plan.regime == analytic.regime
-        assert plan.lam == pytest.approx(analytic.lam, abs=0.01)
-
     def test_m2_fixed_point_converges(self):
-        sampler = self._gaussian_sampler(1.0, 2.0, 1.0, 1.0, 0.3, seed=67)
-        plan = calibrate_m2(sampler, n_max=2**14)
+        # a mean biased by 1 - lambda contracts to its fixed point in a
+        # few rounds; the plan returned is the last replan, settled to M2_EPS
+        stats, n_max, calls = QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**14, []
+        replan = _m2_replan(stats, n_max, lambda plan: 1.0 - plan.lam, calls)
+        plan = m2_fixed_point(optimal_plan(stats, n_max), replan)
         assert plan.converged
-        target = lambda_min(plan.stats, plan.regime == "case1")
-        assert abs(plan.lam - float(np.clip(target, 1 / 2**14, 1.0))) < 1e-3
+        assert len(calls) > 1 and plan is calls[-1]
+        assert abs(replan(plan).lam - plan.lam) < M2_EPS
 
-    def test_m2_iteration_cap_flags_nonconvergence(self, monkeypatch):
-        monkeypatch.setattr(ratio, "M2_EPS", 1e-12)
-        sampler = self._gaussian_sampler(0.5, 2.0, 4.0, 1.0, 0.6, seed=68)
-        plan = calibrate_m2(sampler, n_max=16)
-        assert not plan.converged
+    def test_m2_iteration_cap_flags_nonconvergence(self):
+        # B jumps by 1 whenever lambda passes 0.56, so lambda cycles between
+        # 0.575 and 0.55: the cap ends the loop on the last replan, flagged
+        stats, n_max, calls = QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**14, []
+        replan = _m2_replan(stats, n_max, lambda plan: float(plan.lam > 0.56), calls)
+        plan = m2_fixed_point(optimal_plan(stats, n_max), replan)
+        assert len(calls) == M2_MAX_ITER
+        assert plan == replace(calls[-1], converged=False)
 
     def test_m2_converges_at_clamped_lambda(self):
-        # rho = -1 with A sigma2 = B sigma1 puts lambda* = 0 in either regime,
-        # below the 1/n_max grid: the clamped split is its own fixed point.
-        # Antithetic draws keep every sample mean at exactly A and B.
-        for seed in range(5):
-            rng = np.random.default_rng(71 + seed)
-
-            def sampler(n):
-                half = rng.standard_normal(n // 2)
-                z = np.concatenate([half, -half])
-                return 2.0 + z, 1.0 - z / 2.0
-
-            plan = calibrate_m2(sampler, n_max=8)
-            assert plan.lam == 1.0 / 8.0, seed
-            assert plan.converged, seed
+        # rho = -1 puts lambda* below the 1/n_max grid in either regime; the
+        # re-estimated mean moves the unclamped lambda* by more than M2_EPS
+        # every round, but the clamped split is its own fixed point
+        n_max = 8
+        for stats in (QuotientStats(2.0, 1.0, 1.0, 0.5, -1.0),     # case 1, lambda* = 0.5 - 1 / A
+                      QuotientStats(0.9, 1.0, 1.0, 1.0, -1.0)):    # case 2, lambda* = 0.5 - A / (2 B)
+            shifts = cycle([0.1, 0.0])
+            replan = _m2_replan(stats, n_max, lambda plan: next(shifts))
+            plan = m2_fixed_point(optimal_plan(stats, n_max), replan)
+            assert plan.lam == 1.0 / n_max and plan.converged, stats
+            case1 = prefers_case1(stats)
+            name = "a" if case1 else "b"
+            moved = replace(stats, **{name: getattr(stats, name) + 0.1})
+            assert max(lambda_min(stats, case1), lambda_min(moved, case1)) < 1.0 / n_max
+            assert abs(lambda_min(moved, case1) - lambda_min(stats, case1)) > M2_EPS
 
     def test_m2_regime_labels_its_counts(self):
         # case 1 keeps all n_max denominator samples (N' = lambda N), case 2
-        # all n_max numerator samples; the label must match the counts.
+        # all n_max numerator samples; the label must match the counts, also
+        # when a replan changes the regime.  The noise has the size of a mean's
+        # error over lambda * n_max samples.
         n_max = 64
         rng = np.random.default_rng(70)
-        draws = [(1.14626, 1.48379, 2.81152, 2.84579, -0.80643, 35)]
+        draws = [(1.14626, 1.48379, 2.81152, 2.84579, -0.80643)]
         for _ in range(300):
             a, b = rng.uniform(0.2, 3.0, 2)
             s1, s2 = rng.uniform(0.1, 3.0, 2)
-            draws.append((a, b, s1, s2, rng.uniform(-0.95, 0.95), int(rng.integers(2**31))))
-        for a, b, s1, s2, rho, seed in draws:
-            plan = calibrate_m2(self._gaussian_sampler(a, b, s1, s2, rho, seed), n_max)
+            draws.append((a, b, s1, s2, rng.uniform(-0.95, 0.95)))
+        for a, b, s1, s2, rho in draws:
+
+            def noise(plan):
+                sd = s1 if plan.regime == "case1" else s2
+                return sd * np.sin(37.0 * plan.lam) / np.sqrt(max(2, round(plan.lam * n_max)))
+
+            stats = QuotientStats(a, b, s1, s2, rho)
+            plan = m2_fixed_point(optimal_plan(stats, n_max), _m2_replan(stats, n_max, noise))
             split = max(1, round(plan.lam * n_max))
             if plan.regime == "case1":
-                assert (plan.n, plan.n_prime) == (n_max, split), (a, b, s1, s2, rho, seed)
+                assert (plan.n, plan.n_prime) == (n_max, split), (a, b, s1, s2, rho)
             else:
-                assert (plan.n, plan.n_prime) == (split, n_max), (a, b, s1, s2, rho, seed)
+                assert (plan.n, plan.n_prime) == (split, n_max), (a, b, s1, s2, rho)
 
     def test_pooled_plan_majority_and_median(self):
         a = np.array([2.0, 2.1, 1.9, 2.0])
@@ -237,7 +257,6 @@ class TestCalibration:
         # one healthy query pools to its own optimal plan; queries with a NaN or
         # infinite rho and a zero sigma, or with B under the floor, never vote
         rng = np.random.default_rng(72)
-        names = ("a", "b", "sigma1", "sigma2", "rho")
         pad = np.array([
             [1.0, 1.0, 0.0, 1.0, np.nan],
             [1.0, 1e-12, 1.0, 1.0, 0.5],
@@ -248,10 +267,10 @@ class TestCalibration:
             s = _random_stats(rng)
             n_max = int(rng.integers(1, 10**6))
             single = optimal_plan(s, n_max)
-            plan = pooled_plan(*(np.array([getattr(s, f)]) for f in names), n_max)
+            plan = pooled_plan(*(np.array([getattr(s, f)]) for f in STATS_FIELDS), n_max)
             assert (plan.regime, plan.lam, plan.n, plan.n_prime, plan.sigma) == (
                 single.regime, single.lam, single.n, single.n_prime, single.sigma)
-            batch = np.array([[getattr(_random_stats(rng), f) for f in names] for _ in range(5)])
+            batch = np.array([[getattr(_random_stats(rng), f) for f in STATS_FIELDS] for _ in range(5)])
             padded = np.concatenate([batch, pad])[rng.permutation(len(batch) + len(pad))]
             assert pooled_plan(*padded.T, n_max) == pooled_plan(*batch.T, n_max)
 

@@ -27,7 +27,7 @@ def _handmade_paths_1d(w_s, w_t):
     w = np.array([[[0.0], [w_s], [w_t]]])
     s = np.full((1, 3, 1), 100.0)
     return AssetPaths(
-        vol=vol, grid=grid, s0=np.array([100.0]), rate=0.0, seed=0,
+        vol=vol, grid=grid, s0=np.array([100.0]), rate=0.0,
         union=grid.dates, exercise_idx=np.array([0, 1, 2]), w=w, s=s,
     )
 
