@@ -28,12 +28,11 @@ import numpy as np
 
 from .errors import ConfigError, McmPricerError, NonDeterministicResultError
 from .market_model import build_vol
-from .pricer import MCM_METHODS, Payoff, price_ls, price_mcm
+from .pricer import CALIBRATIONS, MCM_METHODS, Payoff, price_ls, price_mcm
 
 ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
 SCALING_COLUMNS = ("degree", "runtime_ms", "speedup", "price", "std")
-CALIBRATIONS = ("closed", "M1", "M2")
 NUMBER_FIELDS = {**dict.fromkeys(("dim", "n_steps", "log2_paths", "replications", "seed", "threads"), Integral),
                  **dict.fromkeys(("strike", "maturity", "rate", "s0"), Real)}
 

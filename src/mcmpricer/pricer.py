@@ -48,6 +48,7 @@ from .rng import replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
 
 MCM_METHODS = ("P1", "P2eq", "P2opt")
+CALIBRATIONS = ("closed", "M1", "M2")
 PILOT_QUERIES = 512
 PILOT_SAMPLES = 4096
 # Kernel tiles of QUERY_TILE queries x SAMPLE_TILE samples: 1 MiB of float64
@@ -265,7 +266,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
     cfw = cf[:m] * w
     first, second = _tile_sums(kern, nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
                                np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
-    closed = kern.closed_s2 is not None
+    closed = calibration == "closed"
     scale = kern.closed_b[:nq] if closed else first[:, 2]
     good = scale > 0.0
     safe = np.where(good, scale, 1.0)
@@ -320,20 +321,13 @@ def _kernel_sums(
 
 
 def _mcm_sweep(
-    paths: AssetPaths,
-    payoff: Payoff,
-    method: str,
-    conditioning: bool,
-    calibration: str = "M1",
+    paths: AssetPaths, payoff: Payoff, method: str, conditioning: bool, calibration: str
 ) -> tuple[float, int]:
-    """One backward induction pass; returns (price, degenerate-denominator count)."""
-    if method not in MCM_METHODS:
-        raise ValueError(f"method must be one of {MCM_METHODS}, got {method!r}")
-    if conditioning or method == "P1":
-        if not (paths.vol.is_diagonal and paths.vol.is_constant):
-            if method == "P1":
-                raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
-            conditioning = False
+    """One backward induction pass; returns (price, degenerate-denominator count).
+
+    Runs the estimator exactly as given: price_mcm has checked and resolved
+    (method, conditioning, calibration) against the vol of ``paths``.
+    """
     n = paths.n_paths
     r = paths.rate
     dates = paths.grid.dates
@@ -373,19 +367,16 @@ def _mcm_sweep(
 # Longstaff-Schwartz baseline
 # ---------------------------------------------------------------------------
 
-def _ls_basis(s: np.ndarray, strike: float, basis: str) -> np.ndarray:
+def _ls_basis(s: np.ndarray, strike: float) -> np.ndarray:
+    """Cubic monomials in s / strike for d = 1, linear in the assets otherwise."""
     u = s / strike
-    if basis == "monomials3":
-        if s.shape[-1] != 1:
-            raise ValueError("monomials3 basis is for the one-dimensional contract")
+    if s.shape[-1] == 1:
         z = u[:, 0]
         return np.stack([np.ones_like(z), z, z * z, z**3], axis=1)
-    if basis == "linear":
-        return np.concatenate([np.ones((len(u), 1)), u], axis=1)
-    raise ValueError(f"unknown basis {basis!r}")
+    return np.concatenate([np.ones((len(u), 1)), u], axis=1)
 
 
-def _ls_sweep(paths: AssetPaths, payoff: Payoff, basis: str) -> tuple[float, int]:
+def _ls_sweep(paths: AssetPaths, payoff: Payoff) -> tuple[float, int]:
     """Regression-based backward induction on in-the-money paths."""
     r = paths.rate
     dates = paths.grid.dates
@@ -396,7 +387,7 @@ def _ls_sweep(paths: AssetPaths, payoff: Payoff, basis: str) -> tuple[float, int
         itm = np.flatnonzero(intrinsic > 0.0)
         if itm.size == 0:
             continue
-        bmat = _ls_basis(s_k[itm], payoff.strike, basis)
+        bmat = _ls_basis(s_k[itm], payoff.strike)
         target = np.exp(r * dates[k]) * cf[itm]
         gram = bmat.T @ bmat
         try:
@@ -417,10 +408,8 @@ def _ls_sweep(paths: AssetPaths, payoff: Payoff, basis: str) -> tuple[float, int
 # Replicated entry points
 # ---------------------------------------------------------------------------
 
-def _one_replication(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, rep):
+def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
     """Simulate replication ``rep`` and run ``sweep(paths, payoff)`` on it."""
-    vol = build_vol(payoff.dim, vol_spec, rate=r)
-    grid = TimeGrid(maturity, n_steps)
     paths = simulate_paths(vol, grid, s0, r, n_paths, replication_seed(seed, rep))
     return sweep(paths, payoff)
 
@@ -482,17 +471,16 @@ def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
         raise
 
 
-def _replicate(
-    sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, replications, n_workers
-) -> PriceEstimate:
+def _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers) -> PriceEstimate:
     """Run ``replications`` sweeps on ``n_workers`` processes, the caller included, and aggregate.
 
-    ``sweep`` is a picklable partial of _mcm_sweep or _ls_sweep.  The call
-    starts min(n_workers, replications) - 1 spawn workers; the caller and
-    the workers claim replication indices from one shared counter until none
-    is left, so the caller prices while its workers start up.  Replication
-    i simulates from replication_seed(seed, i), so the values are a pure
-    function of (seed, parameters), independent of n_workers.  The caller
+    ``sweep`` is _ls_sweep, or a picklable partial of _mcm_sweep carrying
+    the estimator price_mcm resolved.  The call starts min(n_workers,
+    replications) - 1 spawn workers; the caller and the workers claim
+    replication indices from one shared counter until none is left, so the
+    caller prices while its workers start up.  Replication i simulates on
+    ``vol`` and ``grid`` from replication_seed(seed, i), so the values are a
+    pure function of (seed, parameters), independent of n_workers.  The caller
     keeps BLAS threading as installed; each worker gets max(1, cores //
     n_workers) BLAS threads.  Raises ValueError, before any process starts,
     when ``replications`` or ``n_workers`` is below 1.
@@ -500,7 +488,7 @@ def _replicate(
     if replications < 1 or n_workers < 1:
         raise ValueError(f"replications and n_workers must be >= 1, got {replications} and {n_workers}")
     t0 = time.perf_counter()
-    job = partial(_one_replication, sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed)
+    job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
     n_spawn = min(n_workers, replications) - 1
     if n_spawn < 1:
         out = [(i, job(i)) for i in range(replications)]
@@ -551,15 +539,29 @@ def price_mcm(
     Results are a pure function of (seed, parameters), independent of
     n_workers.
 
-    ``calibration`` sets how P2opt splits its samples.  The raw estimator
-    (conditioning off, or vol that is not constant diagonal) has no closed
-    moments, so it calibrates with the M1 pilot when "closed" is asked for.
+    The estimator is decided here, once per call: the closed-form kernel and
+    its moments exist only for constant diagonal vol, so elsewhere
+    ``conditioning`` is off and the raw estimator runs.  ``calibration`` sets
+    how P2opt splits its samples: "closed" uses the closed moments where the
+    kernel has them and the M1 pilot otherwise; "M1" and "M2" run the pilots.
+    An unknown ``method`` or ``calibration``, a malformed ``vol_spec``, P1
+    on vol that is not constant diagonal (NotDiagonalError), and
+    ``replications`` or ``n_workers`` below 1 raise before any path is
+    simulated or any worker starts.
     """
-    if method == "LS":
-        raise ValueError("use price_ls for the regression baseline")
+    if method not in MCM_METHODS:
+        raise ValueError(f"method must be one of {MCM_METHODS} (price_ls prices LS), got {method!r}")
+    if calibration not in CALIBRATIONS:
+        raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
+    vol = build_vol(payoff.dim, vol_spec, rate=r)
+    grid = TimeGrid(maturity, n_steps)
+    closed_forms = vol.is_diagonal and vol.is_constant
+    if method == "P1" and not closed_forms:
+        raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
+    conditioning = conditioning and closed_forms
+    calibration = "M1" if calibration == "closed" and not conditioning else calibration
     sweep = partial(_mcm_sweep, method=method, conditioning=conditioning, calibration=calibration)
-    return _replicate(sweep, payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed,
-                      replications, n_workers)
+    return _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers)
 
 
 def price_ls(
@@ -578,11 +580,11 @@ def price_ls(
 
     Basis: cubic monomials for d = 1, linear in the assets otherwise.
     ``n_workers`` counts the processes that price, the caller included, as
-    in price_mcm.
+    in price_mcm; a malformed ``vol_spec`` raises before any work.
     """
-    basis = "monomials3" if payoff.dim == 1 else "linear"
-    return _replicate(partial(_ls_sweep, basis=basis), payoff, vol_spec, maturity, n_steps, s0, r,
-                      n_paths, seed, replications, n_workers)
+    vol = build_vol(payoff.dim, vol_spec, rate=r)
+    return _replicate(_ls_sweep, payoff, vol, TimeGrid(maturity, n_steps), s0, r, n_paths, seed,
+                      replications, n_workers)
 
 
 def european_value(paths: AssetPaths, payoff: Payoff) -> float:

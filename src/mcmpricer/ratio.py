@@ -61,7 +61,6 @@ class QuotientPlan:
     sigma: float                # predicted asymptotic variance at lam
     n: int                      # denominator sample count
     n_prime: int                # numerator sample count
-    stats: QuotientStats
     converged: bool = True
 
 
@@ -141,10 +140,7 @@ def _resolve(stats: QuotientStats, case1: bool, lam: float, n_max: int) -> Quoti
         n, n_prime = n_max, max(1, round(lam * n_max))
     else:
         n, n_prime = max(1, round(lam * n_max)), n_max
-    return QuotientPlan(
-        regime="case1" if case1 else "case2",
-        lam=lam, sigma=float(sigma), n=n, n_prime=n_prime, stats=stats,
-    )
+    return QuotientPlan("case1" if case1 else "case2", lam, float(sigma), n, n_prime)
 
 
 def m2_fixed_point(plan: QuotientPlan, replan: Callable[[QuotientPlan], QuotientPlan]) -> QuotientPlan:
@@ -182,7 +178,7 @@ def pooled_plan(
     stats = QuotientStats(*(np.asarray(v, dtype=float) for v in (a, b, sigma1, sigma2, rho)))
     stats = stats[(np.abs(stats.b) > stats.eps_b) & (stats.sigma1 > 0.0) & (stats.sigma2 > 0.0)]
     if stats.a.size == 0:
-        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max, QuotientStats(1.0, 1.0, 0.0, 0.0, 0.0))
+        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max)
     votes = prefers_case1(stats)
     case1 = np.count_nonzero(votes) * 2 >= votes.size
     voters = stats[votes == case1]

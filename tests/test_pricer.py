@@ -7,6 +7,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from mcmpricer import (
     tree_american_put,
 )
 from mcmpricer import pricer, ratio
-from mcmpricer.errors import DimensionMismatchError, NotDiagonalError
+from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriangularError
 from mcmpricer.pricer import _ls_sweep, _mcm_sweep, tree_converged
 from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
@@ -86,10 +87,10 @@ class TestSweepIdentities:
         vol = build_vol(1, 0.2)
         paths = simulate_paths(vol, TimeGrid(1.0, 5), 100.0, 0.0, 2048, seed=80)
         payoff = _ConstPayoff(3.25)
-        price, fallbacks = _mcm_sweep(paths, payoff, "P2eq", conditioning=True)
+        price, fallbacks = _mcm_sweep(paths, payoff, "P2eq", conditioning=True, calibration="M1")
         assert price == 3.25
         assert fallbacks == 0
-        price, _ = _ls_sweep(paths, payoff, "monomials3")
+        price, _ = _ls_sweep(paths, payoff)
         assert price == 3.25
 
     def test_zero_payoff_prices_at_zero(self):
@@ -97,20 +98,8 @@ class TestSweepIdentities:
         vol = build_vol(1, 0.2)
         paths = simulate_paths(vol, TimeGrid(1.0, 5), 100.0, BENCH_RATE, 2048, seed=81)
         payoff = Payoff("geometric_put", 1, 1e-6)
-        assert _mcm_sweep(paths, payoff, "P2eq", conditioning=True)[0] == 0.0
-        assert _ls_sweep(paths, payoff, "monomials3")[0] == 0.0
-
-    def test_p1_requires_diagonal_vol(self, tri_vol_2d):
-        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 3), 100.0, 0.0, 512, seed=82)
-        payoff = Payoff("min_put", 2, 100.0)
-        with pytest.raises(NotDiagonalError):
-            _mcm_sweep(paths, payoff, "P1", conditioning=True)
-
-    def test_triangular_vol_falls_back_to_raw(self, tri_vol_2d):
-        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 3), 100.0, 0.0, 2048, seed=83)
-        payoff = Payoff("min_put", 2, 100.0)
-        price, _ = _mcm_sweep(paths, payoff, "P2eq", conditioning=True)
-        assert np.isfinite(price) and price > 0.0
+        assert _mcm_sweep(paths, payoff, "P2eq", conditioning=True, calibration="M1")[0] == 0.0
+        assert _ls_sweep(paths, payoff)[0] == 0.0
 
 
 class TestEngine:
@@ -492,7 +481,7 @@ class TestPriceMcm:
             diffs = []
             for rep in range(8):
                 paths = simulate_paths(vol, TimeGrid(1.0, 10), 100.0, BENCH_RATE, 2**11, seed=900 + rep)
-                am, _ = _mcm_sweep(paths, payoff, "P2opt", conditioning=True)
+                am, _ = _mcm_sweep(paths, payoff, "P2opt", conditioning=True, calibration="M1")
                 diffs.append(am - european_value(paths, payoff))
             diffs = np.array(diffs)
             slack = 3.0 * diffs.std() / np.sqrt(len(diffs))
@@ -508,6 +497,32 @@ class TestPriceMcm:
     def test_ls_method_rejected(self):
         with pytest.raises(ValueError):
             price_mcm(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, seed=1, method="LS")
+
+    def test_p1_requires_diagonal_vol(self, tri_vol_2d):
+        # the closed-form P1 denominator exists only for constant diagonal vol
+        payoff = Payoff("min_put", 2, 100.0)
+        piecewise = {"breaks": [0.0, 0.5, 2.0], "matrices": [np.diag([0.2, 0.2]), np.diag([0.3, 0.2])]}
+        for vol_spec, conditioning in product((tri_vol_2d.mats[0], piecewise), (True, False)):
+            with pytest.raises(NotDiagonalError):
+                price_mcm(payoff, vol_spec, 1.0, 3, 100.0, 0.0, 512, seed=82, method="P1",
+                          conditioning=conditioning, replications=1)
+
+    def test_triangular_vol_falls_back_to_raw(self, tri_vol_2d):
+        # conditioning asked for on a correlated vol runs the raw estimator
+        payoff = Payoff("min_put", 2, 100.0)
+        args = (payoff, tri_vol_2d.mats[0], 1.0, 3, 100.0, 0.0, 2048, 83)
+        est = price_mcm(*args, method="P2eq", conditioning=True, replications=2)
+        assert np.isfinite(est.price) and est.price > 0.0
+        assert est.values == price_mcm(*args, method="P2eq", conditioning=False, replications=2).values
+
+    @pytest.mark.parametrize("vol_spec,conditioning", [
+        ([[0.2, 0.0], [0.1, 0.2]], True), ([[0.2, 0.0], [0.1, 0.2]], False), (0.2, False)])
+    def test_raw_closed_calibration_is_m1(self, vol_spec, conditioning):
+        # the raw kernel has no closed moments: "closed" calibrates with the M1 pilot
+        args = (Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 4, 100.0, BENCH_RATE, 2**10, 17)
+        closed, m1 = (price_mcm(*args, method="P2opt", conditioning=conditioning, replications=2,
+                                calibration=c) for c in ("closed", "M1"))
+        assert closed.values == m1.values and closed.fallbacks == m1.fallbacks
 
 
 # Sweeps for the pool tests, defined at module level so that spawn workers
@@ -565,8 +580,8 @@ class _CheckedCounter:
 
 def _small_replicate(sweep, replications, n_workers):
     payoff = Payoff("geometric_put", 2, 100.0)
-    return pricer._replicate(sweep, payoff, 0.2, 1.0, 4, 100.0, BENCH_RATE, 2**9, 5,
-                             replications, n_workers)
+    return pricer._replicate(sweep, payoff, build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE,
+                             2**9, 5, replications, n_workers)
 
 
 class TestReplicationPool:
@@ -588,6 +603,27 @@ class TestReplicationPool:
         with pytest.raises(ValueError, match="replications and n_workers must be >= 1"):
             price(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, 1,
                   replications=replications, n_workers=n_workers)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("price,vol_spec,kwargs,error,match", [
+        (price_mcm, 0.2, {"method": "P3"}, ValueError, "method must be one of"),
+        (price_mcm, 0.2, {"calibration": "fancy"}, ValueError, "calibration must be one of"),
+        (price_mcm, [[0.2, 0.0], [0.1, 0.2]], {"method": "P1"}, NotDiagonalError, "P1 needs"),
+        (price_mcm, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
+        (price_mcm, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
+        (price_ls, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
+        (price_ls, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
+    ])
+    def test_bad_estimator_or_vol_raises_before_any_work(self, price, vol_spec, kwargs, error, match,
+                                                         monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a replication or a worker started")
+
+        monkeypatch.setattr(pricer, "simulate_paths", started)
+        monkeypatch.setattr(multiprocessing, "get_context", started)
+        with pytest.raises(error, match=match):
+            price(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, 100.0, 0.0, 64, 1,
+                  replications=4, n_workers=2, **kwargs)
         assert multiprocessing.active_children() == []
 
     def test_caller_prices_while_workers_start(self):
