@@ -22,7 +22,3 @@ print("log S_T std devs:", np.log(paths.s[:, -1, :] / 100.0).std(axis=0))
 # The paths are a pure function of the seed.
 again = simulate_paths(vol, grid, s0=100.0, r=0.0, n_paths=2**16, seed=42)
 print("bit-identical for the same seed:", paths.s.tobytes() == again.s.tobytes())
-
-# Deterministic-drift test hook: freeze the Brownian increments at zero.
-frozen = simulate_paths(vol, grid, 100.0, np.log(1.1), 4, seed=1, brownian_scale=0.0)
-print("pure-drift terminal value:", frozen.s[0, -1, 0], "=", 100 * np.exp(np.log(1.1) - 0.02))

@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from numbers import Integral, Real
@@ -162,7 +161,6 @@ def _write_outputs(path: str, csv_text: str, json_text: str) -> None:
 
 def _run_cell(config: RunConfig) -> dict:
     payoff = Payoff(kind=config.payoff, dim=config.dim, strike=config.strike)
-    t0 = time.perf_counter()
     if config.method == "LS":
         est = price_ls(
             payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
@@ -175,12 +173,11 @@ def _run_cell(config: RunConfig) -> dict:
             replications=config.replications, n_workers=config.threads,
             calibration=config.calibration,
         )
-    runtime_ms = (time.perf_counter() - t0) * 1e3
     return {
         "method": config.method, "payoff": config.payoff, "dim": config.dim,
         "steps": config.n_steps, "paths": config.n_paths,
         "price": est.price, "std": est.std, "fallbacks": est.fallbacks,
-        "runtime_ms": runtime_ms, "values": est.values,
+        "runtime_ms": est.runtime_s * 1e3, "values": est.values,
     }
 
 

@@ -188,6 +188,14 @@ class AssetPaths:
         return out
 
 
+def initial_assets(s0, dim: int) -> np.ndarray:
+    """``s0`` as a fresh vector of ``dim`` initial asset values; raises ValueError unless all are positive."""
+    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (dim,)).copy()
+    if np.any(s0 <= 0.0):
+        raise ValueError("initial asset values must be positive")
+    return s0
+
+
 def simulate_paths(
     vol: TriangularVol,
     grid: TimeGrid,
@@ -195,7 +203,6 @@ def simulate_paths(
     r: float,
     n_paths: int,
     seed: int,
-    brownian_scale: float = 1.0,
     store_y: bool = False,
 ) -> AssetPaths:
     """Simulate asset paths with exact per-interval log-space increments.
@@ -207,14 +214,11 @@ def simulate_paths(
     r : risk-neutral drift rate.
     n_paths, seed : sample size and master seed.  The output is a pure
         function of (seed, parameters).
-    brownian_scale : test hook; 0.0 freezes every Brownian increment at zero.
     store_y : store the Y integrals in ``AssetPaths.y`` (d x d floats per path and
         exercise date).  The pricer does not read them, so the default is off.
     """
     d = vol.dim
-    s0 = np.broadcast_to(np.asarray(s0, dtype=float), (d,)).copy()
-    if np.any(s0 <= 0.0):
-        raise ValueError("initial asset values must be positive")
+    s0 = initial_assets(s0, d)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
 
@@ -250,7 +254,7 @@ def simulate_paths(
             y[lo:hi, 0, :, :] = 0.0
         for m, (dt, sig, drift) in enumerate(seg):
             z = stream_normals(seed, m, block_id, (nb, d))
-            dw = (brownian_scale * np.sqrt(dt)) * z
+            dw = np.sqrt(dt) * z
             wb += dw
             log_sb += drift + dw @ sig.T
             if store_y:

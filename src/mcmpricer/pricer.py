@@ -1,6 +1,12 @@
 """American/Bermudan pricing by backward stopping-time dynamic programming.
 
-The continuation value at each exercise date is a quotient of Monte Carlo
+One backward induction serves every estimator, Malliavin (MCM) and the
+Longstaff-Schwartz regression baseline alike; they differ only in the
+continuation value of each date.  Exercise is allowed at t_1..t_n; the
+date-0 value is the maximum of the immediate payoff and the mean discounted
+cashflow.
+
+The MCM continuation value at each exercise date is a quotient of Monte Carlo
 means over the same path population (square Monte Carlo): every in-the-money
 path queries an estimator built from all paths.  Estimator variants:
 
@@ -13,10 +19,7 @@ path queries an estimator built from all paths.  Estimator variants:
 
 Both variants estimate the same quotient E[cashflow K_x] / E[K_x] and differ
 only in the kernel K_x, so one engine serves both: a per-date kernel
-(``_DateKernel``) feeds one pilot, one block loop and one exercise update.
-
-Exercise is allowed at t_1..t_n; the date-0 value is the maximum of the
-immediate payoff and the mean discounted cashflow.
+(``_DateKernel``) feeds one pilot and one block loop.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .kernels import (
     query_features,
     sample_features,
 )
-from .market_model import AssetPaths, TimeGrid, build_vol, simulate_paths
+from .market_model import AssetPaths, TimeGrid, build_vol, initial_assets, simulate_paths
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
@@ -128,16 +131,17 @@ class _DateKernel:
     samples s_lo..s_hi-1 into ``out`` (shape (hi-lo, s_hi-s_lo)) and returns
     it, by ``build(queries[lo:hi], samples[:, s_lo:s_hi], out)``: exp(U V^T)
     for the conditioned estimator (queries U, samples V^T), the indicator
-    1{S_s >= x} for the raw one (queries x, samples S_s^T), whose per-sample
-    weight Gamma / prod S_s is ``weight``.  ``closed_b`` is the closed-form
-    denominator (P1) and ``closed_s2`` the closed-form denominator std
-    (closed calibration); a denominator at or below ``floor`` is degenerate.
+    1{S_s >= x} for the raw one (queries x, samples S_s^T).  ``weight`` is
+    the per-sample weight: Gamma / prod S_s for the raw kernel, ones for the
+    conditioned one.  ``closed_b`` is the closed-form denominator (P1) and
+    ``closed_s2`` the closed-form denominator std (closed calibration); a
+    denominator at or below ``floor`` is degenerate.
     """
 
     queries: np.ndarray
     samples: np.ndarray
     build: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    weight: np.ndarray | None
+    weight: np.ndarray
     closed_b: np.ndarray | None
     closed_s2: np.ndarray | None
     floor: float
@@ -151,10 +155,9 @@ class _DateKernel:
 
     def restrict(self, idx: np.ndarray) -> _DateKernel:
         """The same kernel over the samples ``idx`` only, renumbered 0..len(idx)-1."""
-        weight = None if self.weight is None else self.weight[idx]
         # take keeps the sample rows C-contiguous; samples[:, idx] comes back
         # column-major, and the conditioned tile matmul then runs ~10x slower
-        return replace(self, samples=np.take(self.samples, idx, axis=1), weight=weight)
+        return replace(self, samples=np.take(self.samples, idx, axis=1), weight=self.weight[idx])
 
 
 def _exp_rows(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -191,7 +194,7 @@ def _conditioned_kernel(
     closed_s2 = None
     if closed:
         closed_s2 = np.sqrt(np.maximum(kernel_second_moment(params, x_itm) - closed_b**2, 0.0))
-    return _DateKernel(u, vt, _exp_rows, None, closed_b, closed_s2, KERNEL_DEN_FLOOR)
+    return _DateKernel(u, vt, _exp_rows, np.ones(paths.n_paths), closed_b, closed_s2, KERNEL_DEN_FLOOR)
 
 
 def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
@@ -251,18 +254,18 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
 
     The pilot takes the first PILOT_QUERIES queries against the first
     PILOT_SAMPLES samples, with X = cf * w * K and Y = w * K (w the
-    per-sample weight, 1 when conditioned).  Its moments are normalised to
-    unit denominator mean: the closed form under closed calibration,
-    otherwise the simulated mean of |w K|, which stays positive under the raw
-    estimator's signed weights.  The split plan is invariant under that joint
-    rescaling of X and Y, and kernel products can sit at 1e-30 in high
-    dimension, far below any absolute floor.  The rescaling acts on the
-    per-query moments, so the pilot rows are never copied.
+    per-sample weight).  Its moments are normalised to unit denominator
+    mean: the closed form under closed calibration, otherwise the simulated
+    mean of |w K|, which stays positive under the raw estimator's signed
+    weights.  The split plan is invariant under that joint rescaling of X
+    and Y, and kernel products can sit at 1e-30 in high dimension, far below
+    any absolute floor.  The rescaling acts on the per-query moments, so the
+    pilot rows are never copied.
     """
     n = len(cf)
     nq = min(PILOT_QUERIES, kern.n_queries)
     m = min(PILOT_SAMPLES, n)
-    w = np.ones(m) if kern.weight is None else kern.weight[:m]
+    w = kern.weight[:m]
     cfw = cf[:m] * w
     first, second = _tile_sums(kern, nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
                                np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
@@ -312,55 +315,57 @@ def _kernel_sums(
     denominator weight * K over the first n_den.
     """
     m = max(n_num, n_den)
-    w = np.ones(m) if kern.weight is None else kern.weight
     rhs = np.zeros((m, 2))
-    rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
-    rhs[:n_den, 1] = w[:n_den] / n_den
+    rhs[:n_num, 0] = (cf[:n_num] * kern.weight[:n_num]) / n_num
+    rhs[:n_den, 1] = kern.weight[:n_den] / n_den
     sums, _ = _tile_sums(kern, kern.n_queries, m, rhs)
     return sums[:, 0], sums[:, 1]
 
 
-def _mcm_sweep(
-    paths: AssetPaths, payoff: Payoff, method: str, conditioning: bool, calibration: str
-) -> tuple[float, int]:
-    """One backward induction pass; returns (price, degenerate-denominator count).
+def _backward_induction(paths: AssetPaths, payoff: Payoff, continuation) -> tuple[float, int]:
+    """One backward stopping-time pass; returns (price, fallback count).
 
-    Runs the estimator exactly as given: price_mcm has checked and resolved
-    (method, conditioning, calibration) against the vol of ``paths``.
+    At each date k = n-1..1 the in-the-money paths ``itm`` exercise where
+    their intrinsic value beats their continuation value, which
+    ``continuation(paths, payoff, k, itm, cf)`` estimates from the discounted
+    cash flows ``cf`` of the later dates; it returns (values, fallback count).
     """
-    n = paths.n_paths
     r = paths.rate
     dates = paths.grid.dates
-
     cf = np.exp(-r * dates[-1]) * payoff(paths.s[:, -1, :])
     fallbacks = 0
-
     for k in range(paths.grid.n_steps - 1, 0, -1):
-        s_k = paths.s[:, k, :]
-        intrinsic = payoff(s_k)
+        intrinsic = payoff(paths.s[:, k, :])
         itm = np.flatnonzero(intrinsic > 0.0)
         if itm.size == 0:
             continue
-        if conditioning:
-            kern = _conditioned_kernel(paths, k, s_k[itm], method, calibration)
-        else:
-            kern = _raw_kernel(paths, k, s_k[itm], method)
-        n_num = n_den = n
-        if method == "P2opt":
-            plan = _date_plan(kern, cf, calibration)
-            n_num, n_den = plan.n_prime, plan.n
-        num, den = _kernel_sums(kern, cf, n_num, n_den)
-        if method == "P1":
-            den = kern.closed_b
-        bad = ~(den > kern.floor)
-        fallbacks += int(np.count_nonzero(bad))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cont = float(np.exp(r * dates[k])) * num / den
-        cont[bad] = np.inf
+        cont, bad = continuation(paths, payoff, k, itm, cf)
+        fallbacks += bad
         exercised = itm[intrinsic[itm] > cont]
         cf[exercised] = np.exp(-r * dates[k]) * intrinsic[exercised]
-
     return max(float(payoff(paths.s0[None, :])[0]), float(np.mean(cf))), fallbacks
+
+
+def _mcm_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray, cf: np.ndarray, *,
+                      method: str, conditioning: bool, calibration: str) -> tuple[np.ndarray, int]:
+    """Kernel quotient at date k, as price_mcm resolved it; +inf (never exercise) if degenerate."""
+    x_itm = paths.s[:, k, :][itm]
+    if conditioning:
+        kern = _conditioned_kernel(paths, k, x_itm, method, calibration)
+    else:
+        kern = _raw_kernel(paths, k, x_itm, method)
+    n_num = n_den = paths.n_paths
+    if method == "P2opt":
+        plan = _date_plan(kern, cf, calibration)
+        n_num, n_den = plan.n_prime, plan.n
+    num, den = _kernel_sums(kern, cf, n_num, n_den)
+    if method == "P1":
+        den = kern.closed_b
+    bad = ~(den > kern.floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cont = float(np.exp(paths.rate * paths.grid.dates[k])) * num / den
+    cont[bad] = np.inf
+    return cont, int(np.count_nonzero(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -376,32 +381,21 @@ def _ls_basis(s: np.ndarray, strike: float) -> np.ndarray:
     return np.concatenate([np.ones((len(u), 1)), u], axis=1)
 
 
-def _ls_sweep(paths: AssetPaths, payoff: Payoff) -> tuple[float, int]:
-    """Regression-based backward induction on in-the-money paths."""
-    r = paths.rate
-    dates = paths.grid.dates
-    cf = np.exp(-r * dates[-1]) * payoff(paths.s[:, -1, :])
-    for k in range(paths.grid.n_steps - 1, 0, -1):
-        s_k = paths.s[:, k, :]
-        intrinsic = payoff(s_k)
-        itm = np.flatnonzero(intrinsic > 0.0)
-        if itm.size == 0:
-            continue
-        bmat = _ls_basis(s_k[itm], payoff.strike)
-        target = np.exp(r * dates[k]) * cf[itm]
-        gram = bmat.T @ bmat
+def _ls_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray,
+                     cf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares regression of the date-k cash flows of ``itm`` on the basis."""
+    bmat = _ls_basis(paths.s[:, k, :][itm], payoff.strike)
+    target = np.exp(paths.rate * paths.grid.dates[k]) * cf[itm]
+    gram = bmat.T @ bmat
+    try:
+        coef = np.linalg.solve(gram, bmat.T @ target)
+    except np.linalg.LinAlgError:
+        # rank-deficient normal equations: ridge fallback
         try:
-            coef = np.linalg.solve(gram, bmat.T @ target)
-        except np.linalg.LinAlgError:
-            # rank-deficient normal equations: ridge fallback
-            try:
-                coef = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), bmat.T @ target)
-            except np.linalg.LinAlgError as exc:
-                raise RegressionSingularError(f"normal equations singular at date {k}") from exc
-        cont = bmat @ coef
-        exercised = itm[intrinsic[itm] > cont]
-        cf[exercised] = np.exp(-r * dates[k]) * intrinsic[exercised]
-    return max(float(payoff(paths.s0[None, :])[0]), float(np.mean(cf))), 0
+            coef = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), bmat.T @ target)
+        except np.linalg.LinAlgError as exc:
+            raise RegressionSingularError(f"normal equations singular at date {k}") from exc
+    return bmat @ coef, 0
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +468,22 @@ def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
 def _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers) -> PriceEstimate:
     """Run ``replications`` sweeps on ``n_workers`` processes, the caller included, and aggregate.
 
-    ``sweep`` is _ls_sweep, or a picklable partial of _mcm_sweep carrying
-    the estimator price_mcm resolved.  The call starts min(n_workers,
-    replications) - 1 spawn workers; the caller and the workers claim
-    replication indices from one shared counter until none is left, so the
-    caller prices while its workers start up.  Replication i simulates on
+    ``sweep(paths, payoff)`` returns (value, fallbacks): a picklable partial
+    of _backward_induction carrying its continuation.  The call starts
+    min(n_workers, replications) - 1 spawn workers; the caller and the
+    workers claim replication indices from one shared counter until none is
+    left, so the caller prices while its workers start up.  Replication i simulates on
     ``vol`` and ``grid`` from replication_seed(seed, i), so the values are a
     pure function of (seed, parameters), independent of n_workers.  The caller
     keeps BLAS threading as installed; each worker gets max(1, cores //
-    n_workers) BLAS threads.  Raises ValueError, before any process starts,
-    when ``replications`` or ``n_workers`` is below 1.
+    n_workers) BLAS threads.  Raises ValueError, before any path or process
+    starts, when ``replications`` or ``n_workers`` is below 1, ``s0`` is not
+    positive or ``vol`` ends before maturity.
     """
     if replications < 1 or n_workers < 1:
         raise ValueError(f"replications and n_workers must be >= 1, got {replications} and {n_workers}")
+    initial_assets(s0, vol.dim)
+    vol.overlaps(0.0, grid.maturity)
     t0 = time.perf_counter()
     job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
     n_spawn = min(n_workers, replications) - 1
@@ -544,10 +541,10 @@ def price_mcm(
     ``conditioning`` is off and the raw estimator runs.  ``calibration`` sets
     how P2opt splits its samples: "closed" uses the closed moments where the
     kernel has them and the M1 pilot otherwise; "M1" and "M2" run the pilots.
-    An unknown ``method`` or ``calibration``, a malformed ``vol_spec``, P1
-    on vol that is not constant diagonal (NotDiagonalError), and
-    ``replications`` or ``n_workers`` below 1 raise before any path is
-    simulated or any worker starts.
+    An unknown ``method`` or ``calibration``, a malformed ``vol_spec`` or
+    one that ends before ``maturity``, P1 on vol that is not constant
+    diagonal (NotDiagonalError), a non-positive ``s0``, and ``replications``
+    or ``n_workers`` below 1 raise before any path or worker starts.
     """
     if method not in MCM_METHODS:
         raise ValueError(f"method must be one of {MCM_METHODS} (price_ls prices LS), got {method!r}")
@@ -560,7 +557,9 @@ def price_mcm(
         raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
     conditioning = conditioning and closed_forms
     calibration = "M1" if calibration == "closed" and not conditioning else calibration
-    sweep = partial(_mcm_sweep, method=method, conditioning=conditioning, calibration=calibration)
+    continuation = partial(_mcm_continuation, method=method, conditioning=conditioning,
+                           calibration=calibration)
+    sweep = partial(_backward_induction, continuation=continuation)
     return _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers)
 
 
@@ -580,10 +579,11 @@ def price_ls(
 
     Basis: cubic monomials for d = 1, linear in the assets otherwise.
     ``n_workers`` counts the processes that price, the caller included, as
-    in price_mcm; a malformed ``vol_spec`` raises before any work.
+    in price_mcm, and the same malformed inputs raise before any work.
     """
     vol = build_vol(payoff.dim, vol_spec, rate=r)
-    return _replicate(_ls_sweep, payoff, vol, TimeGrid(maturity, n_steps), s0, r, n_paths, seed,
+    sweep = partial(_backward_induction, continuation=_ls_continuation)
+    return _replicate(sweep, payoff, vol, TimeGrid(maturity, n_steps), s0, r, n_paths, seed,
                       replications, n_workers)
 
 

@@ -44,14 +44,11 @@ def compute_pi(paths: AssetPaths, s_index: int, t_index: int) -> np.ndarray:
     vol intervals.
     """
     s, t = _date_pair(paths, s_index, t_index)
-    d = paths.dim
-    acc_near = np.zeros((paths.n_paths, d))
-    for vidx, dw in paths.dw_between(0.0, s):
-        acc_near += dw @ paths.vol.invs[vidx]
-    acc_far = np.zeros((paths.n_paths, d))
-    for vidx, dw in paths.dw_between(s, t):
-        acc_far += dw @ paths.vol.invs[vidx]
-    return 1.0 + acc_near / s - acc_far / (t - s)
+    near, far = np.zeros((2, paths.n_paths, paths.dim))
+    for acc, a, b in ((near, 0.0, s), (far, s, t)):
+        for vidx, dw in paths.dw_between(a, b):
+            acc += dw @ paths.vol.invs[vidx]
+    return 1.0 + near / s - far / (t - s)
 
 
 def compute_pi_covariance(vol: TriangularVol, s: float, t: float) -> np.ndarray:

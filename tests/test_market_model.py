@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcmpricer import TimeGrid, build_vol, simulate_paths
+from mcmpricer import TimeGrid, build_vol, market_model, simulate_paths
 from mcmpricer.errors import NotEllipticError, NotTriangularError
 from mcmpricer.rng import replication_seed, splitmix64, stream_normals
 
@@ -59,10 +59,11 @@ class TestBuildVol:
 
 
 class TestSimulation:
-    def test_deterministic_drift_hook(self):
+    def test_deterministic_drift_hook(self, monkeypatch):
         # all Brownian increments frozen at zero: pure drift
+        monkeypatch.setattr(market_model, "stream_normals", lambda seed, m, block, shape: np.zeros(shape))
         vol = build_vol(1, 0.2)
-        paths = simulate_paths(vol, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 8, seed=1, brownian_scale=0.0)
+        paths = simulate_paths(vol, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 8, seed=1)
         expected = 100.0 * np.exp(BENCH_RATE - 0.02)
         np.testing.assert_allclose(paths.s[:, -1, 0], expected, rtol=1e-13)
         assert expected == pytest.approx(107.8219, abs=5e-4)

@@ -36,7 +36,7 @@ from mcmpricer import (
 )
 from mcmpricer import pricer, ratio
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriangularError
-from mcmpricer.pricer import _ls_sweep, _mcm_sweep, tree_converged
+from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation, tree_converged
 from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
 from conftest import BENCH_RATE
@@ -82,15 +82,34 @@ class _ConstPayoff:
         return np.full(np.asarray(s).shape[:-1], self.c)
 
 
+def _mcm_induction(method, conditioning=True, calibration="M1"):
+    """The backward induction with the MCM continuation, picklable for spawn workers."""
+    continuation = partial(_mcm_continuation, method=method, conditioning=conditioning,
+                           calibration=calibration)
+    return partial(_backward_induction, continuation=continuation)
+
+
+_ls_induction = partial(_backward_induction, continuation=_ls_continuation)
+
+
+def _fixed_continuation(value, calls):
+    """A continuation of ``value`` and one fallback per in-the-money path; records (k, count) in ``calls``."""
+    def continuation(paths, payoff, k, itm, cf):
+        calls.append((k, len(itm)))
+        return np.full(len(itm), value), len(itm)
+
+    return continuation
+
+
 class TestSweepIdentities:
     def test_constant_payoff_r0_prices_at_constant(self):
         vol = build_vol(1, 0.2)
         paths = simulate_paths(vol, TimeGrid(1.0, 5), 100.0, 0.0, 2048, seed=80)
         payoff = _ConstPayoff(3.25)
-        price, fallbacks = _mcm_sweep(paths, payoff, "P2eq", conditioning=True, calibration="M1")
+        price, fallbacks = _mcm_induction("P2eq")(paths, payoff)
         assert price == 3.25
         assert fallbacks == 0
-        price, _ = _ls_sweep(paths, payoff)
+        price, _ = _ls_induction(paths, payoff)
         assert price == 3.25
 
     def test_zero_payoff_prices_at_zero(self):
@@ -98,8 +117,34 @@ class TestSweepIdentities:
         vol = build_vol(1, 0.2)
         paths = simulate_paths(vol, TimeGrid(1.0, 5), 100.0, BENCH_RATE, 2048, seed=81)
         payoff = Payoff("geometric_put", 1, 1e-6)
-        assert _mcm_sweep(paths, payoff, "P2eq", conditioning=True, calibration="M1")[0] == 0.0
-        assert _ls_sweep(paths, payoff)[0] == 0.0
+        assert _mcm_induction("P2eq")(paths, payoff)[0] == 0.0
+        assert _ls_induction(paths, payoff)[0] == 0.0
+
+    @pytest.mark.parametrize("strike", [100.0, 1000.0])   # the European value wins, then payoff(s0)
+    def test_infinite_continuation_never_exercises(self, strike):
+        paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 6), 100.0, BENCH_RATE, 2**10, seed=89)
+        payoff = Payoff("geometric_put", 2, strike)
+        price, _ = _backward_induction(paths, payoff, _fixed_continuation(np.inf, []))
+        assert price == max(float(payoff(paths.s0[None, :])[0]), european_value(paths, payoff))
+
+    def test_minus_infinite_continuation_exercises_at_the_first_itm_date(self):
+        n_steps = 6
+        paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, n_steps), 100.0, BENCH_RATE, 2**10,
+                               seed=90)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        calls = []
+        price, fallbacks = _backward_induction(paths, payoff, _fixed_continuation(-np.inf, calls))
+        # intrinsic[:, j] and disc[j] at date j + 1, for dates 1..n
+        intrinsic = np.stack([payoff(paths.s[:, k, :]) for k in range(1, n_steps + 1)], axis=1)
+        disc = np.array([np.exp(-BENCH_RATE * paths.grid.dates[k]) for k in range(1, n_steps + 1)])
+        itm = intrinsic[:, :-1] > 0.0
+        first = np.where(itm.any(axis=1), np.argmax(itm, axis=1), n_steps - 1)
+        cf = disc[first] * intrinsic[np.arange(paths.n_paths), first]
+        assert 0 < np.count_nonzero(itm.any(axis=1)) < paths.n_paths
+        assert price == max(0.0, float(np.mean(cf)))
+        # one call per date n-1..1, and the fallback counts add up across dates
+        assert calls == [(k, np.count_nonzero(itm[:, k - 1])) for k in range(n_steps - 1, 0, -1)]
+        assert fallbacks == np.count_nonzero(itm)
 
 
 class TestEngine:
@@ -196,7 +241,7 @@ class TestEngine:
         payoff = Payoff("min_put", 2, 100.0)
         for calibration in ("M1", "M2"):
             events.clear()
-            _mcm_sweep(paths, payoff, "P2opt", conditioning=False, calibration=calibration)
+            _mcm_induction("P2opt", conditioning=False, calibration=calibration)(paths, payoff)
             plans_per_date = []
             for e in events:
                 if e == "plan":
@@ -256,9 +301,7 @@ def _normalised_matrix_pilot(kern, cf, calibration):
     n = len(cf)
     nq = min(pricer.PILOT_QUERIES, kern.n_queries)
     m = min(pricer.PILOT_SAMPLES, n)
-    kmat = kern.rows(0, nq, 0, m, np.empty((nq, m)))
-    if kern.weight is not None:
-        kmat *= kern.weight[:m]
+    kmat = kern.rows(0, nq, 0, m, np.empty((nq, m))) * kern.weight[:m]
     closed = calibration == "closed" and kern.closed_s2 is not None
     scale = kern.closed_b[:nq] if closed else np.mean(np.abs(kmat), axis=1)
     good = scale > 0.0
@@ -314,7 +357,7 @@ def _full_range_tile_sums(kern, n_q, m, rhs, rhs_sq=None):
 def _full_range_kernel_sums(kern, cf, n_num, n_den):
     """Numerator and denominator means from the full-range tile loop."""
     m = max(n_num, n_den)
-    w = np.ones(m) if kern.weight is None else kern.weight
+    w = kern.weight
     rhs = np.zeros((m, 2))
     rhs[:n_num, 0] = (cf[:n_num] * w[:n_num]) / n_num
     rhs[:n_den, 1] = w[:n_den] / n_den
@@ -365,7 +408,7 @@ class TestKernelSupport:
     def test_sums_match_the_full_range_loop(self, kernels):
         for kern, cf in kernels:
             n, n_q = len(cf), kern.n_queries
-            w = np.ones(n) if kern.weight is None else kern.weight
+            w = kern.weight
             # case-2 main sums: the numerator runs past the denominator's n over a zero-cf tail
             for n_num, n_den in ((n, 1500), (n, 1)):
                 got = pricer._kernel_sums(kern, cf, n_num, n_den)
@@ -386,7 +429,7 @@ class TestKernelSupport:
     def test_entries_built_are_queries_times_support(self, kernels):
         for kern, cf in kernels:
             n, n_q = len(cf), kern.n_queries
-            w = np.ones(n) if kern.weight is None else kern.weight
+            w = kern.weight
             rhs = np.zeros((n, 2))
             rhs[:, 0] = cf * w / n
             rhs[:1500, 1] = w[:1500] / 1500
@@ -407,7 +450,7 @@ class TestKernelSupport:
     def test_full_support_is_bitwise_the_full_range_loop(self, kernels):
         for kern, cf in kernels:
             n, n_q = len(cf), kern.n_queries
-            w = np.ones(n) if kern.weight is None else kern.weight
+            w = kern.weight
             cfw = cf * w
             # the pilot's moments, and the P1 / P2eq / case-1 main sums
             rhs = np.stack([cfw, w, np.abs(w)], axis=1) / n
@@ -430,8 +473,7 @@ class TestKernelSupport:
             full = kern.rows(0, n_q, 0, n, np.empty((n_q, n)))
             np.testing.assert_allclose(sub.rows(0, n_q, 0, len(idx), np.empty((n_q, len(idx)))),
                                        full[:, idx], rtol=1e-14, atol=0.0)
-            if kern.weight is not None:
-                assert np.array_equal(sub.weight, kern.weight[idx])
+            assert np.array_equal(sub.weight, kern.weight[idx])
 
 
 class TestTooling:
@@ -481,7 +523,7 @@ class TestPriceMcm:
             diffs = []
             for rep in range(8):
                 paths = simulate_paths(vol, TimeGrid(1.0, 10), 100.0, BENCH_RATE, 2**11, seed=900 + rep)
-                am, _ = _mcm_sweep(paths, payoff, "P2opt", conditioning=True, calibration="M1")
+                am, _ = _mcm_induction("P2opt")(paths, payoff)
                 diffs.append(am - european_value(paths, payoff))
             diffs = np.array(diffs)
             slack = 3.0 * diffs.std() / np.sqrt(len(diffs))
@@ -578,6 +620,10 @@ class _CheckedCounter:
         self._value = new
 
 
+# a piecewise vol whose breaks end at t = 0.5, before a maturity of 1
+SHORT_VOL = {"breaks": [0.0, 0.5], "matrices": [[[0.2, 0.0], [0.0, 0.2]]]}
+
+
 def _small_replicate(sweep, replications, n_workers):
     payoff = Payoff("geometric_put", 2, 100.0)
     return pricer._replicate(sweep, payoff, build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE,
@@ -587,7 +633,7 @@ def _small_replicate(sweep, replications, n_workers):
 class TestReplicationPool:
     @pytest.mark.parametrize("replications", [2, 3, 5])
     def test_values_bitwise_equal_for_any_worker_count(self, replications):
-        sweep = partial(_mcm_sweep, method="P2opt", conditioning=True, calibration="closed")
+        sweep = _mcm_induction("P2opt", calibration="closed")
         serial = _small_replicate(sweep, replications, 1)
         for n_workers in (2, 3, replications + 2):
             assert _small_replicate(sweep, replications, n_workers).values == serial.values
@@ -611,8 +657,13 @@ class TestReplicationPool:
         (price_mcm, [[0.2, 0.0], [0.1, 0.2]], {"method": "P1"}, NotDiagonalError, "P1 needs"),
         (price_mcm, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
         (price_mcm, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
+        (price_mcm, 0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (price_mcm, 0.2, {"s0": [100.0] * 3}, ValueError, "could not be broadcast"),
+        (price_mcm, SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
         (price_ls, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
         (price_ls, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
+        (price_ls, 0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (price_ls, SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
     ])
     def test_bad_estimator_or_vol_raises_before_any_work(self, price, vol_spec, kwargs, error, match,
                                                          monkeypatch):
@@ -621,9 +672,9 @@ class TestReplicationPool:
 
         monkeypatch.setattr(pricer, "simulate_paths", started)
         monkeypatch.setattr(multiprocessing, "get_context", started)
+        args = {"s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1, **kwargs}
         with pytest.raises(error, match=match):
-            price(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, 100.0, 0.0, 64, 1,
-                  replications=4, n_workers=2, **kwargs)
+            price(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, replications=4, n_workers=2, **args)
         assert multiprocessing.active_children() == []
 
     def test_caller_prices_while_workers_start(self):
