@@ -2,13 +2,13 @@
 
 Reproduces a desk-scale slice of the benchmark grid (strike 100, maturity 1,
 rate ln(1.1), vol 0.2 per asset, 10 exercise dates, 2^10 paths, 16
-replications) and compares against regression Monte Carlo and the
-1D-equivalent binomial tree.
+replications) and compares against regression Monte Carlo (``method="LS"``
+of the same ``price_mcm``) and the 1D-equivalent binomial tree.
 """
 
 import numpy as np
 
-from mcmpricer import Payoff, price_ls, price_mcm, price_tree_1d
+from mcmpricer import Payoff, price_mcm, price_tree_1d
 
 RATE = float(np.log(1.1))
 
@@ -17,12 +17,10 @@ for dim in (1, 5, 10):
     payoff = Payoff("geometric_put", dim, 100.0)
     tree = price_tree_1d(dim, 100.0, 100.0, RATE, 0.2, 1.0, 5000)
     cells = []
-    for method in ("P1", "P2eq", "P2opt"):
+    for method in ("P1", "P2eq", "P2opt", "LS"):
         est = price_mcm(payoff, 0.2, 1.0, 10, 100.0, RATE, 2**10, seed=42,
                         method=method, replications=16)
         cells.append(f"{est.price:7.3f}+-{est.std:.3f}")
-    ls = price_ls(payoff, 0.2, 1.0, 10, 100.0, RATE, 2**10, seed=42, replications=16)
-    cells.append(f"{ls.price:7.3f}+-{ls.std:.3f}")
     print(f"{dim:>3} {tree:12.3f} " + " ".join(f"{c:>16}" for c in cells))
 
 # Two-asset contracts (put on minimum, call on maximum).

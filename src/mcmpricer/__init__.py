@@ -17,7 +17,6 @@ from .pricer import (
     european_value,
     geometric_equivalent_1d,
     lognormal_conditional_put,
-    price_ls,
     price_mcm,
     price_tree_1d,
     tree_american_put,
@@ -81,7 +80,6 @@ __all__ = [
     "lognormal_conditional_put",
     "optimal_plan",
     "path_weights",
-    "price_ls",
     "price_mcm",
     "price_tree_1d",
     "raw_continuation",

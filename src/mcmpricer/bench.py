@@ -25,9 +25,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, McmPricerError, NonDeterministicResultError
+from .errors import ConfigError, McmPricerError, NonDeterministicResultError, NotDiagonalError
 from .market_model import build_vol
-from .pricer import CALIBRATIONS, MCM_METHODS, Payoff, price_ls, price_mcm
+from .pricer import CALIBRATIONS, METHODS, Payoff, price_mcm
 
 ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
@@ -66,8 +66,8 @@ class RunConfig:
             raise ConfigError("conditioning", f"must be true or false, got {self.conditioning!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", f"must be a path string or null, got {self.out!r}")
-        if self.method not in MCM_METHODS + ("LS",):
-            raise ConfigError("method", f"must be one of {MCM_METHODS + ('LS',)}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ConfigError("method", f"must be one of {METHODS}, got {self.method!r}")
         if self.calibration not in CALIBRATIONS:
             raise ConfigError("calibration", f"must be one of {CALIBRATIONS}, got {self.calibration!r}")
         for name in ("strike", "maturity"):
@@ -161,18 +161,11 @@ def _write_outputs(path: str, csv_text: str, json_text: str) -> None:
 
 def _run_cell(config: RunConfig) -> dict:
     payoff = Payoff(kind=config.payoff, dim=config.dim, strike=config.strike)
-    if config.method == "LS":
-        est = price_ls(
-            payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
-            config.n_paths, config.seed, replications=config.replications, n_workers=config.threads,
-        )
-    else:
-        est = price_mcm(
-            payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
-            config.n_paths, config.seed, method=config.method, conditioning=config.conditioning,
-            replications=config.replications, n_workers=config.threads,
-            calibration=config.calibration,
-        )
+    est = price_mcm(
+        payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
+        config.n_paths, config.seed, method=config.method, conditioning=config.conditioning,
+        replications=config.replications, n_workers=config.threads, calibration=config.calibration,
+    )
     return {
         "method": config.method, "payoff": config.payoff, "dim": config.dim,
         "steps": config.n_steps, "paths": config.n_paths,
@@ -188,7 +181,7 @@ def run(config: RunConfig) -> PriceTable:
     if config.replications == 1:
         sys.stderr.write("warning: replications=1, std dev reported as 0\n")
     table = PriceTable()
-    table.add(**{k: v for k, v in cell.items() if k in TABLE_COLUMNS})
+    table.add(**cell)
     return table
 
 
@@ -217,7 +210,7 @@ def sweep(config: RunConfig, axes: dict[str, list]) -> PriceTable:
         except (McmPricerError, ValueError) as exc:
             table.failures.append({"cell": dict(zip(names, values)), "error": str(exc)})
             continue
-        table.add(**{k: v for k, v in cell.items() if k in TABLE_COLUMNS})
+        table.add(**cell)
     table.sort()
     return table
 
@@ -260,7 +253,7 @@ def scaling_report(config: RunConfig, degrees: list[int]) -> list[dict]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=False, help="JSON config file")
-    parser.add_argument("--method", choices=MCM_METHODS + ("LS",))
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--payoff", choices=("geometric_put", "min_put", "max_call"))
     parser.add_argument("--dim", type=int)
     parser.add_argument("--steps", type=int, dest="n_steps")
@@ -268,20 +261,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--replications", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--threads", type=int)
-    parser.add_argument("--no-conditioning", action="store_true")
+    parser.add_argument("--no-conditioning", dest="conditioning", action="store_false", default=None)
     parser.add_argument("--calibration", choices=CALIBRATIONS)
     parser.add_argument("--out", help="output CSV path (a JSON mirror is written next to it)")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for name in ("method", "payoff", "dim", "n_steps", "log2_paths", "replications",
-                 "seed", "threads", "calibration", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "no_conditioning", False):
-        overrides["conditioning"] = False
+    overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
     env = os.environ.get(ENV_THREADS)
     if "threads" not in overrides and env:
         try:
@@ -336,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
             if config.out:
                 _write_outputs(config.out, text, json.dumps(rows, indent=2))
-    except ConfigError as exc:
+    except (ConfigError, NotDiagonalError) as exc:
+        # NotDiagonalError reaches here only from price_mcm's check of P1 before any work
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except McmPricerError as exc:

@@ -1,7 +1,8 @@
 """American/Bermudan pricing by backward stopping-time dynamic programming.
 
-One backward induction serves every estimator, Malliavin (MCM) and the
-Longstaff-Schwartz regression baseline alike; they differ only in the
+One entry point, ``price_mcm``, and one backward induction serve every
+method, the Malliavin (MCM) estimators P1, P2eq and P2opt and the
+Longstaff-Schwartz regression baseline LS alike; they differ only in the
 continuation value of each date.  Exercise is allowed at t_1..t_n; the
 date-0 value is the maximum of the immediate payoff and the mean discounted
 cashflow.
@@ -50,7 +51,7 @@ from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
 
-MCM_METHODS = ("P1", "P2eq", "P2opt")
+METHODS = ("P1", "P2eq", "P2opt", "LS")
 CALIBRATIONS = ("closed", "M1", "M2")
 PILOT_QUERIES = 512
 PILOT_SAMPLES = 4096
@@ -399,7 +400,7 @@ def _ls_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Replicated entry points
+# Replicated entry point
 # ---------------------------------------------------------------------------
 
 def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
@@ -477,11 +478,12 @@ def _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_w
     pure function of (seed, parameters), independent of n_workers.  The caller
     keeps BLAS threading as installed; each worker gets max(1, cores //
     n_workers) BLAS threads.  Raises ValueError, before any path or process
-    starts, when ``replications`` or ``n_workers`` is below 1, ``s0`` is not
-    positive or ``vol`` ends before maturity.
+    starts, when ``replications``, ``n_workers`` or ``n_paths`` is below 1,
+    ``s0`` is not positive or ``vol`` ends before maturity.
     """
-    if replications < 1 or n_workers < 1:
-        raise ValueError(f"replications and n_workers must be >= 1, got {replications} and {n_workers}")
+    if replications < 1 or n_workers < 1 or n_paths < 1:
+        raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
+                         f"got {replications}, {n_workers} and {n_paths}")
     initial_assets(s0, vol.dim)
     vol.overlaps(0.0, grid.maturity)
     t0 = time.perf_counter()
@@ -508,8 +510,8 @@ def _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_w
             raise RuntimeError(f"replication indices came back as {[i for i, _ in out]}")
     values = tuple(v for _, (v, _) in out)
     fallbacks = sum(f for _, (_, f) in out)
-    std = float(np.std(values)) if len(values) > 1 else 0.0
-    return PriceEstimate(float(np.mean(values)), std, values, fallbacks, time.perf_counter() - t0)
+    return PriceEstimate(float(np.mean(values)), float(np.std(values)), values, fallbacks,
+                         time.perf_counter() - t0)
 
 
 def price_mcm(
@@ -527,7 +529,7 @@ def price_mcm(
     n_workers: int = 1,
     calibration: str = "closed",
 ) -> PriceEstimate:
-    """Replicated Malliavin-weight Monte Carlo price.
+    """Replicated American price by ``method``, one of ``METHODS``.
 
     Each replication simulates its own paths from a derived seed and runs the
     backward induction with the chosen continuation estimator.  ``n_workers``
@@ -536,18 +538,23 @@ def price_mcm(
     Results are a pure function of (seed, parameters), independent of
     n_workers.
 
-    The estimator is decided here, once per call: the closed-form kernel and
-    its moments exist only for constant diagonal vol, so elsewhere
+    "LS" is the Longstaff-Schwartz regression: cubic monomials in s / strike
+    for d = 1, linear in the assets otherwise.  ``conditioning`` and
+    ``calibration`` do not apply to it.  For P1, P2eq and P2opt the
+    estimator is decided here, once per call: the closed-form kernel and its
+    moments exist only for constant diagonal vol, so elsewhere
     ``conditioning`` is off and the raw estimator runs.  ``calibration`` sets
-    how P2opt splits its samples: "closed" uses the closed moments where the
-    kernel has them and the M1 pilot otherwise; "M1" and "M2" run the pilots.
-    An unknown ``method`` or ``calibration``, a malformed ``vol_spec`` or
-    one that ends before ``maturity``, P1 on vol that is not constant
-    diagonal (NotDiagonalError), a non-positive ``s0``, and ``replications``
-    or ``n_workers`` below 1 raise before any path or worker starts.
+    how P2opt splits its samples, and does not apply to P1 or P2eq: "closed"
+    uses the closed moments where the kernel has them and the M1 pilot
+    otherwise; "M1" and "M2" run the pilots.  An unknown ``method`` or
+    ``calibration``, a malformed ``vol_spec`` or one that ends before
+    ``maturity``, P1 on vol that is not constant diagonal
+    (NotDiagonalError), a non-positive ``s0``, and ``replications``,
+    ``n_workers`` or ``n_paths`` below 1 raise before any path or worker
+    starts.
     """
-    if method not in MCM_METHODS:
-        raise ValueError(f"method must be one of {MCM_METHODS} (price_ls prices LS), got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if calibration not in CALIBRATIONS:
         raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
     vol = build_vol(payoff.dim, vol_spec, rate=r)
@@ -557,34 +564,10 @@ def price_mcm(
         raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
     conditioning = conditioning and closed_forms
     calibration = "M1" if calibration == "closed" and not conditioning else calibration
-    continuation = partial(_mcm_continuation, method=method, conditioning=conditioning,
-                           calibration=calibration)
+    continuation = _ls_continuation if method == "LS" else partial(
+        _mcm_continuation, method=method, conditioning=conditioning, calibration=calibration)
     sweep = partial(_backward_induction, continuation=continuation)
     return _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers)
-
-
-def price_ls(
-    payoff: Payoff,
-    vol_spec,
-    maturity: float,
-    n_steps: int,
-    s0,
-    r: float,
-    n_paths: int,
-    seed: int,
-    replications: int = 16,
-    n_workers: int = 1,
-) -> PriceEstimate:
-    """Replicated Longstaff-Schwartz price.
-
-    Basis: cubic monomials for d = 1, linear in the assets otherwise.
-    ``n_workers`` counts the processes that price, the caller included, as
-    in price_mcm, and the same malformed inputs raise before any work.
-    """
-    vol = build_vol(payoff.dim, vol_spec, rate=r)
-    sweep = partial(_backward_induction, continuation=_ls_continuation)
-    return _replicate(sweep, payoff, vol, TimeGrid(maturity, n_steps), s0, r, n_paths, seed,
-                      replications, n_workers)
 
 
 def european_value(paths: AssetPaths, payoff: Payoff) -> float:

@@ -163,6 +163,13 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_p1_without_closed_forms_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"payoff": "min_put", "dim": 2, "vol": [[0.2, 0.0], [0.1, 0.2]],
+                                    "n_steps": 2, "log2_paths": 5, "replications": 1}))
+        assert main(["price", "--config", str(path), "--method", "P1"]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_sweep_subcommand(self, capsys):
         code = main(["sweep", "--steps", "2", "--log2-paths", "5", "--replications", "1",
                      "--axes", '{"dim": [1, 2]}'])

@@ -27,7 +27,6 @@ from mcmpricer import (
     geometric_equivalent_1d,
     kernel_h,
     path_weights,
-    price_ls,
     price_mcm,
     price_tree_1d,
     raw_continuation,
@@ -536,10 +535,6 @@ class TestPriceMcm:
         assert serial.values == parallel.values
         assert serial.price == parallel.price
 
-    def test_ls_method_rejected(self):
-        with pytest.raises(ValueError):
-            price_mcm(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, seed=1, method="LS")
-
     def test_p1_requires_diagonal_vol(self, tri_vol_2d):
         # the closed-form P1 denominator exists only for constant diagonal vol
         payoff = Payoff("min_put", 2, 100.0)
@@ -638,35 +633,37 @@ class TestReplicationPool:
         for n_workers in (2, 3, replications + 2):
             assert _small_replicate(sweep, replications, n_workers).values == serial.values
 
-    @pytest.mark.parametrize("price", [price_mcm, price_ls])
-    @pytest.mark.parametrize("replications,n_workers", [(0, 1), (-1, 2), (4, 0), (4, -3)])
-    def test_out_of_range_counts_raise_before_any_work(self, price, replications, n_workers, monkeypatch):
+    @pytest.mark.parametrize("method", ["P2opt", "LS"])
+    @pytest.mark.parametrize("replications,n_workers,n_paths",
+                             [(0, 1, 64), (-1, 2, 64), (4, 0, 64), (4, -3, 64), (2, 2, 0), (4, 1, -1)])
+    def test_out_of_range_counts_raise_before_any_work(self, method, replications, n_workers, n_paths,
+                                                       monkeypatch):
         def started(*args, **kwargs):
             raise AssertionError("a replication or a worker started")
 
         monkeypatch.setattr(pricer, "simulate_paths", started)
         monkeypatch.setattr(multiprocessing, "get_context", started)
-        with pytest.raises(ValueError, match="replications and n_workers must be >= 1"):
-            price(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64, 1,
-                  replications=replications, n_workers=n_workers)
+        with pytest.raises(ValueError, match="replications, n_workers and n_paths must be >= 1"):
+            price_mcm(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, n_paths, 1,
+                      method=method, replications=replications, n_workers=n_workers)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("price,vol_spec,kwargs,error,match", [
-        (price_mcm, 0.2, {"method": "P3"}, ValueError, "method must be one of"),
-        (price_mcm, 0.2, {"calibration": "fancy"}, ValueError, "calibration must be one of"),
-        (price_mcm, [[0.2, 0.0], [0.1, 0.2]], {"method": "P1"}, NotDiagonalError, "P1 needs"),
-        (price_mcm, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
-        (price_mcm, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
-        (price_mcm, 0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
-        (price_mcm, 0.2, {"s0": [100.0] * 3}, ValueError, "could not be broadcast"),
-        (price_mcm, SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
-        (price_ls, [[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
-        (price_ls, [0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
-        (price_ls, 0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
-        (price_ls, SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
+    @pytest.mark.parametrize("vol_spec,kwargs,error,match", [
+        (0.2, {"method": "P3"}, ValueError, "method must be one of"),
+        (0.2, {"calibration": "fancy"}, ValueError, "calibration must be one of"),
+        ([[0.2, 0.0], [0.1, 0.2]], {"method": "P1"}, NotDiagonalError, "P1 needs"),
+        ([[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
+        ([0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
+        (0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (0.2, {"s0": [100.0] * 3}, ValueError, "could not be broadcast"),
+        (SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
+        ([[0.2, 0.1], [0.0, 0.2]], {"method": "LS"}, NotTriangularError, "must vanish"),
+        ([0.2, 0.2, 0.2], {"method": "LS"}, ValueError, "expected 2 diagonal entries"),
+        (0.2, {"method": "LS", "s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (SHORT_VOL, {"method": "LS"}, ValueError, "vol spec covers up to t=0.5"),
+        (0.2, {"method": "LS", "calibration": "fancy"}, ValueError, "calibration must be one of"),
     ])
-    def test_bad_estimator_or_vol_raises_before_any_work(self, price, vol_spec, kwargs, error, match,
-                                                         monkeypatch):
+    def test_bad_estimator_or_vol_raises_before_any_work(self, vol_spec, kwargs, error, match, monkeypatch):
         def started(*args, **kwargs):
             raise AssertionError("a replication or a worker started")
 
@@ -674,7 +671,8 @@ class TestReplicationPool:
         monkeypatch.setattr(multiprocessing, "get_context", started)
         args = {"s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1, **kwargs}
         with pytest.raises(error, match=match):
-            price(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, replications=4, n_workers=2, **args)
+            price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, replications=4, n_workers=2,
+                      **args)
         assert multiprocessing.active_children() == []
 
     def test_caller_prices_while_workers_start(self):
@@ -711,20 +709,20 @@ class TestReplicationPool:
 class TestPriceLs:
     def test_figure_band_d1(self):
         payoff = Payoff("geometric_put", 1, 100.0)
-        est = price_ls(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**10, seed=42, replications=16)
+        est = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**10, seed=42, method="LS", replications=16)
         assert 4.6 <= est.price <= 4.95
         assert est.std < 0.35
 
     def test_deep_itm_matches_tree(self):
         payoff = Payoff("geometric_put", 1, 1000.0)
-        est = price_ls(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**11, seed=7, replications=4)
+        est = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**11, seed=7, method="LS", replications=4)
         tree = tree_american_put(100.0, 1000.0, BENCH_RATE, 0.0, 0.2, 1.0, 2000)
         assert abs(est.price - tree) / tree < 0.01
 
     def test_agrees_with_mcm_at_scale(self):
         payoff = Payoff("geometric_put", 1, 100.0)
         am = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**14, seed=9, replications=8)
-        al = price_ls(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**14, seed=9, replications=8)
+        al = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**14, seed=9, method="LS", replications=8)
         assert abs(am.price - al.price) <= 3.0 * np.hypot(am.std, al.std)
 
     def test_mcm_more_stable_in_time_steps(self):
@@ -732,9 +730,16 @@ class TestPriceLs:
         args = (payoff, 0.2, 1.0)
         pm10 = price_mcm(*args, 10, 100.0, BENCH_RATE, 2**12, seed=42, replications=16)
         pm30 = price_mcm(*args, 30, 100.0, BENCH_RATE, 2**12, seed=42, replications=16)
-        pl10 = price_ls(*args, 10, 100.0, BENCH_RATE, 2**12, seed=42, replications=16)
-        pl30 = price_ls(*args, 30, 100.0, BENCH_RATE, 2**12, seed=42, replications=16)
+        pl10 = price_mcm(*args, 10, 100.0, BENCH_RATE, 2**12, seed=42, method="LS", replications=16)
+        pl30 = price_mcm(*args, 30, 100.0, BENCH_RATE, 2**12, seed=42, method="LS", replications=16)
         assert abs(pm30.price - pm10.price) <= abs(pl30.price - pl10.price)
+
+    @pytest.mark.parametrize("vol_spec", [0.2, [[0.2, 0.0], [0.1, 0.2]]])
+    def test_conditioning_and_calibration_do_not_apply(self, vol_spec):
+        args = (Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 4, 100.0, BENCH_RATE, 2**9, 13)
+        default = price_mcm(*args, method="LS", replications=2)
+        other = price_mcm(*args, method="LS", conditioning=False, calibration="M2", replications=2)
+        assert other.values == default.values and other.fallbacks == default.fallbacks
 
 
 def _tree_pow_loop(s0, strike, r, q, sigma, maturity, n_tree_steps):
