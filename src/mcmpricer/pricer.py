@@ -20,7 +20,10 @@ path queries an estimator built from all paths.  Estimator variants:
 
 Both variants estimate the same quotient E[cashflow K_x] / E[K_x] and differ
 only in the kernel K_x, so one engine serves both: a per-date kernel
-(``_DateKernel``) feeds one pilot and one block loop.
+(``_DateKernel``) feeds one pilot and one main sum through its sums engine.
+The exp kernel, and the raw kernel at d >= 3, build K in cache-sized tiles;
+the raw indicator kernel at d <= 2 takes exact dominance sums over sorted
+samples instead, without building K.
 """
 
 from __future__ import annotations
@@ -57,9 +60,12 @@ PILOT_QUERIES = 512
 PILOT_SAMPLES = 4096
 # Kernel tiles of QUERY_TILE queries x SAMPLE_TILE samples: 1 MiB of float64
 # stays in a core's L2 cache from its build to its product, and rows of 4096
-# or more samples keep numpy's broadcast comparisons (raw kernel) fast
+# or more samples keep numpy's broadcast comparisons (raw kernel at d >= 3) fast
 QUERY_TILE = 32
 SAMPLE_TILE = 4096
+# Queries per strip step of the dominance sums: its (queries x cell width)
+# index arrays stay well under a MiB
+DOMINANCE_QUERY_TILE = 512
 # Thread counts that OpenBLAS, OpenMP and MKL read when they load
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -132,16 +138,19 @@ class _DateKernel:
     samples s_lo..s_hi-1 into ``out`` (shape (hi-lo, s_hi-s_lo)) and returns
     it, by ``build(queries[lo:hi], samples[:, s_lo:s_hi], out)``: exp(U V^T)
     for the conditioned estimator (queries U, samples V^T), the indicator
-    1{S_s >= x} for the raw one (queries x, samples S_s^T).  ``weight`` is
-    the per-sample weight: Gamma / prod S_s for the raw kernel, ones for the
-    conditioned one.  ``closed_b`` is the closed-form denominator (P1) and
-    ``closed_s2`` the closed-form denominator std (closed calibration); a
-    denominator at or below ``floor`` is degenerate.
+    1{S_s >= x} for the raw one (queries x, samples S_s^T).  ``engine`` is
+    the function behind ``sums``: ``_tile_sums``, which builds K through
+    ``rows``, or ``_dominance_sums`` for the raw kernel at d <= 2.
+    ``weight`` is the per-sample weight: Gamma / prod S_s for the raw kernel,
+    ones for the conditioned one.  ``closed_b`` is the closed-form
+    denominator (P1) and ``closed_s2`` the closed-form denominator std
+    (closed calibration); a denominator at or below ``floor`` is degenerate.
     """
 
     queries: np.ndarray
     samples: np.ndarray
     build: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    engine: Callable[..., tuple[np.ndarray, np.ndarray | None]]
     weight: np.ndarray
     closed_b: np.ndarray | None
     closed_s2: np.ndarray | None
@@ -153,6 +162,12 @@ class _DateKernel:
 
     def rows(self, lo: int, hi: int, s_lo: int, s_hi: int, out: np.ndarray) -> np.ndarray:
         return self.build(self.queries[lo:hi], self.samples[:, s_lo:s_hi], out)
+
+    def sums(
+        self, n_q: int, m: int, rhs: np.ndarray, rhs_sq: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """K @ rhs, and (K * K) @ rhs_sq when given, for queries 0..n_q-1 over samples 0..m-1."""
+        return self.engine(self, n_q, m, rhs, rhs_sq)
 
     def restrict(self, idx: np.ndarray) -> _DateKernel:
         """The same kernel over the samples ``idx`` only, renumbered 0..len(idx)-1."""
@@ -195,11 +210,15 @@ def _conditioned_kernel(
     closed_s2 = None
     if closed:
         closed_s2 = np.sqrt(np.maximum(kernel_second_moment(params, x_itm) - closed_b**2, 0.0))
-    return _DateKernel(u, vt, _exp_rows, np.ones(paths.n_paths), closed_b, closed_s2, KERNEL_DEN_FLOOR)
+    return _DateKernel(u, vt, _exp_rows, _tile_sums, np.ones(paths.n_paths), closed_b, closed_s2,
+                       KERNEL_DEN_FLOOR)
 
 
 def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _DateKernel:
-    """Raw weighted-indicator kernel at date k; the closed denominator needs diagonal vol."""
+    """Raw weighted-indicator kernel at date k; the closed denominator needs diagonal vol.
+
+    At d <= 2 its sums are exact dominance sums; at d >= 3 the tile loop builds K.
+    """
     s_t = np.ascontiguousarray(paths.s[:, k, :].T)
     w = path_weights(paths, k, k + 1)
     closed_b = None
@@ -208,7 +227,8 @@ def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _D
         scale = params.sigma * params.s * (params.t - params.s)
         closed_b = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
     floor = DEN_FLOOR_SCALE * float(np.mean(np.abs(w)))
-    return _DateKernel(x_itm, s_t, _indicator_rows, w, closed_b, None, floor)
+    engine = _dominance_sums if len(s_t) <= 2 else _tile_sums
+    return _DateKernel(x_itm, s_t, _indicator_rows, engine, w, closed_b, None, floor)
 
 
 def _tile_sums(
@@ -216,6 +236,7 @@ def _tile_sums(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """K @ rhs, and (K * K) @ rhs_sq when given, for queries 0..n_q-1 over samples 0..m-1.
 
+    The sums engine of the exp kernel and of the raw kernel at d >= 3.
     ``rhs`` and ``rhs_sq`` hold one row per sample.  K is built only on the
     support, the samples whose row of ``rhs`` or ``rhs_sq`` is not all zero:
     a zero row adds nothing to the sums.  When the support is smaller than
@@ -250,6 +271,88 @@ def _tile_sums(
     return sums, sums_sq
 
 
+def _dominance_sums(
+    kern: _DateKernel, n_q: int, m: int, rhs: np.ndarray, rhs_sq: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sums of ``_tile_sums`` for the raw indicator kernel at d <= 2, without building K.
+
+    Row q of K @ rhs is the dominance sum of rhs over the samples p with
+    S_s^p >= x_q componentwise, and K * K = K, so ``rhs_sq`` takes the same
+    sum as extra columns.  Each coordinate is ranked by a sort, and
+    searchsorted(side="left") turns x_q into c_q, the first rank whose value
+    is >= x_q: the samples of rank >= c_q are exactly those with S_s >= x_q,
+    in whatever order ties are ranked, the query's own sample included.  At
+    d = 1 the sum is a suffix cumsum at c_q.  At d = 2 it is a rank-space
+    square-root decomposition: the samples at or past the next whole cell on
+    both axes sum through 2-D cumsums over a grid of cells w ranks wide, and
+    the two strips of fewer than w ranks in front of it are checked sample
+    by sample.  The cost is O(m log m + n_q w + (m / w)^2) per column, with
+    w = (m^2 / n_q)^(1/3).
+    """
+    cols = rhs if rhs_sq is None else np.concatenate([rhs, rhs_sq], axis=1)
+    n_cols = cols.shape[1]
+    samples = kern.samples[:, :m]
+    # order[j]: the samples by ascending coordinate j; start[j][q]: the first rank of query q
+    order = [np.argsort(s_j) for s_j in samples]
+    start = [np.searchsorted(s_j[o], x_j, side="left")
+             for s_j, o, x_j in zip(samples, order, kern.queries[:n_q].T)]
+    if len(order) == 1:
+        suffix = np.zeros((m + 1, n_cols))
+        suffix[:m] = np.cumsum(cols[order[0][::-1]], axis=0)[::-1]
+        sums = suffix[start[0]]
+    else:
+        sums = _dominance_sums_2d(cols, m, order, start)
+    if rhs_sq is None:
+        return sums, None
+    return sums[:, : rhs.shape[1]], sums[:, rhs.shape[1]:]
+
+
+def _dominance_sums_2d(cols: np.ndarray, m: int, order: list[np.ndarray],
+                       start: list[np.ndarray]) -> np.ndarray:
+    """Sum of ``cols`` over the samples of rank >= start[0] on axis 0 and >= start[1] on axis 1."""
+    n_q, n_cols = len(start[0]), cols.shape[1]
+    rank = []
+    for o in order:
+        r = np.empty(m, dtype=np.intp)
+        r[o] = np.arange(m)
+        rank.append(r)
+    width = max(1, round((m * m / max(n_q, 1)) ** (1.0 / 3.0)))
+    g = -(-m // width)
+    # cell (i, j) of ranks [i w, (i+1) w) x [j w, (j+1) w) sits at (g - i, g - j) of a
+    # (g+1)^2 grid whose row and column 0 stay zero, so the prefix cumsums along both
+    # axes hold, at (g - i, g - j), the sum over ranks >= i w on axis 0 and >= j w on axis 1
+    cell = (g - rank[0] // width) * (g + 1) + (g - rank[1] // width)
+    grid = np.empty(((g + 1) ** 2, n_cols))
+    for c in range(n_cols):
+        grid[:, c] = np.bincount(cell, weights=cols[:, c], minlength=(g + 1) ** 2)
+    square = grid.reshape(g + 1, g + 1, n_cols)
+    np.cumsum(square, axis=0, out=square)
+    np.cumsum(square, axis=1, out=square)
+    # whole[j]: the first cell edge at or past start[j]
+    whole = [-(-s // width) * width for s in start]
+    sums = grid[(g - whole[0] // width) * (g + 1) + (g - whole[1] // width)]
+    # strip 0: ranks start[0]..whole[0]-1 on axis 0 with rank >= start[1] on axis 1;
+    # strip 1: ranks start[1]..whole[1]-1 on axis 1 with rank >= whole[0] on axis 0
+    strips = []
+    for j, (first, bound) in enumerate(((start[0], start[1]), (start[1], whole[0]))):
+        # the columns in the strip's rank order, one row each, and a zero at m for the
+        # positions a query leaves out
+        sorted_cols = np.zeros((n_cols, m + 1))
+        sorted_cols[:, :m] = cols[order[j]].T
+        strips.append((first, np.minimum(whole[j], m), rank[1 - j][order[j]], bound, sorted_cols))
+    offsets = np.arange(width)
+    for lo in range(0, n_q, DOMINANCE_QUERY_TILE):
+        hi = min(lo + DOMINANCE_QUERY_TILE, n_q)
+        for first, end, other_rank, bound, sorted_cols in strips:
+            pos = first[lo:hi, None] + offsets
+            inside = pos < end[lo:hi, None]
+            inside &= np.take(other_rank, pos, mode="clip") >= bound[lo:hi, None]
+            pos[~inside] = m
+            for c in range(n_cols):
+                sums[lo:hi, c] += np.take(sorted_cols[c], pos).sum(axis=1)
+    return sums
+
+
 def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientPlan:
     """Pooled sample-split plan for one exercise date (P2opt only).
 
@@ -268,8 +371,8 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
     m = min(PILOT_SAMPLES, n)
     w = kern.weight[:m]
     cfw = cf[:m] * w
-    first, second = _tile_sums(kern, nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
-                               np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
+    first, second = kern.sums(nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
+                              np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
     closed = calibration == "closed"
     scale = kern.closed_b[:nq] if closed else first[:, 2]
     good = scale > 0.0
@@ -297,7 +400,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
         nonlocal a, b
         msub = min(m, max(2, round(plan.lam * m)))
         col = cfw if plan.regime == "case1" else w
-        mean = unit(_tile_sums(kern, nq, msub, col[:msub, None] / msub)[0][:, 0])
+        mean = unit(kern.sums(nq, msub, col[:msub, None] / msub)[0][:, 0])
         if plan.regime == "case1":
             a = mean
         else:
@@ -319,7 +422,7 @@ def _kernel_sums(
     rhs = np.zeros((m, 2))
     rhs[:n_num, 0] = (cf[:n_num] * kern.weight[:n_num]) / n_num
     rhs[:n_den, 1] = kern.weight[:n_den] / n_den
-    sums, _ = _tile_sums(kern, kern.n_queries, m, rhs)
+    sums, _ = kern.sums(kern.n_queries, m, rhs)
     return sums[:, 0], sums[:, 1]
 
 

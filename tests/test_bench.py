@@ -196,11 +196,11 @@ class TestCli:
 
     def test_env_var_default_threads(self, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "3")
-        from mcmpricer.bench import _config_from_args
+        from mcmpricer.bench import _add_common, _config_from_args
         import argparse
-        args = argparse.Namespace(config=None, method=None, payoff=None, dim=None,
-                                  n_steps=2, log2_paths=5, replications=1, seed=None,
-                                  threads=None, calibration=None, out=None, no_conditioning=False)
+        parser = argparse.ArgumentParser()
+        _add_common(parser)
+        args = parser.parse_args(["--steps", "2", "--log2-paths", "5", "--replications", "1"])
         assert _config_from_args(args).threads == 3
 
     @pytest.mark.parametrize("argv", [

@@ -384,12 +384,13 @@ class TestKernelSupport:
         # 2 x 1000 tiles: seven queries and 2^12 samples are ragged on both tile axes
         monkeypatch.setattr(pricer, "QUERY_TILE", 2)
         monkeypatch.setattr(pricer, "SAMPLE_TILE", 1000)
-        payoff = Payoff("geometric_put", 2, 100.0)
         diag = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=85)
         tri = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=86)
+        diag3 = simulate_paths(build_vol(3, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=83)
         k = 2
         out = []
-        for paths, conditioning in ((diag, True), (diag, False), (tri, False)):
+        for paths, conditioning in ((diag, True), (diag, False), (tri, False), (diag3, False)):
+            payoff = Payoff("geometric_put", paths.vol.dim, 100.0)
             s_k = paths.s[:, k, :]
             intrinsic = payoff(s_k)
             itm = np.flatnonzero(intrinsic > 0.0)
@@ -402,6 +403,15 @@ class TestKernelSupport:
             cf = payoff(paths.s[:, -1, :])
             assert 0 < np.count_nonzero(cf) < len(cf)
             out.append((kern, cf))
+        return out
+
+    @pytest.fixture
+    def tile_kernels(self, kernels):
+        # the kernels whose sums still build K: the conditioned one (d + 2 = 4 feature
+        # rows) and the raw one at d = 3
+        out = [(kern, cf) for kern, cf in kernels if kern.engine is pricer._tile_sums]
+        assert [(kern.build, len(kern.samples)) for kern, _ in out] == [
+            (pricer._exp_rows, 4), (pricer._indicator_rows, 3)]
         return out
 
     def test_sums_match_the_full_range_loop(self, kernels):
@@ -425,8 +435,8 @@ class TestKernelSupport:
             assert not got.any() and not got_sq.any()
             assert got.shape == (n_q, 2) and got_sq.shape == (n_q, 3)
 
-    def test_entries_built_are_queries_times_support(self, kernels):
-        for kern, cf in kernels:
+    def test_entries_built_are_queries_times_support(self, tile_kernels):
+        for kern, cf in tile_kernels:
             n, n_q = len(cf), kern.n_queries
             w = kern.weight
             rhs = np.zeros((n, 2))
@@ -446,8 +456,8 @@ class TestKernelSupport:
                 assert sum(size for size, _ in tiles) == n_q * m
                 assert all(own for _, own in tiles)
 
-    def test_full_support_is_bitwise_the_full_range_loop(self, kernels):
-        for kern, cf in kernels:
+    def test_full_support_is_bitwise_the_full_range_loop(self, tile_kernels):
+        for kern, cf in tile_kernels:
             n, n_q = len(cf), kern.n_queries
             w = kern.weight
             cfw = cf * w
@@ -473,6 +483,105 @@ class TestKernelSupport:
             np.testing.assert_allclose(sub.rows(0, n_q, 0, len(idx), np.empty((n_q, len(idx)))),
                                        full[:, idx], rtol=1e-14, atol=0.0)
             assert np.array_equal(sub.weight, kern.weight[idx])
+
+
+def _assert_within_dominance_tolerance(kern, n_q, m, rhs, got, want):
+    """|got - want| <= 1e-14 x the sum of |rhs| over each query's samples, entry by entry.
+
+    The raw weights are signed and rows cancel, so no relative bound holds;
+    a query that dominates no sample must sum to exactly zero.
+    """
+    bound = 1e-14 * _full_range_tile_sums(kern, n_q, m, np.abs(rhs))[0]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
+class TestDominanceSums:
+    """The raw kernel at d <= 2 sums by dominance counting, without building K."""
+
+    @pytest.fixture
+    def raw_kernels(self, tri_vol_2d, monkeypatch):
+        # 100-query strip steps: every in-the-money path queries, about 20 ragged steps
+        monkeypatch.setattr(pricer, "DOMINANCE_QUERY_TILE", 100)
+        k = 2
+        out = []
+        for vol, seed in ((build_vol(1, 0.2), 82), (build_vol(2, 0.2), 85), (tri_vol_2d, 86)):
+            paths = simulate_paths(vol, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=seed)
+            payoff = Payoff("geometric_put", vol.dim, 100.0)
+            s_k = paths.s[:, k, :]
+            # every query is a sample, so each one ties with itself
+            kern = pricer._raw_kernel(paths, k, s_k[payoff(s_k) > 0.0], "P2opt")
+            assert kern.engine is pricer._dominance_sums
+            out.append((kern, payoff(paths.s[:, -1, :])))
+        # duplicated coordinates: samples and queries on a grid of half units
+        kern, cf = out[-1]
+        out.append((replace(kern, queries=np.round(2.0 * kern.queries) / 2.0,
+                            samples=np.round(2.0 * kern.samples) / 2.0), cf))
+        assert len(np.unique(out[-1][0].samples[0])) < 200
+        return out
+
+    def test_sums_match_the_full_range_loop(self, raw_kernels):
+        for kern, cf in raw_kernels:
+            n, n_q = len(cf), kern.n_queries
+            w = kern.weight
+            # signed, positive, and zero on the paths that end out of the money
+            rhs = np.stack([cf * w, w, np.abs(w)], axis=1) / n
+            for m in (1, 2, 3, 1500, n):
+                for q in (1, n_q):
+                    got, got_sq = kern.sums(q, m, rhs[:m])
+                    assert got_sq is None
+                    _assert_within_dominance_tolerance(kern, q, m, rhs[:m], got,
+                                                       _full_range_tile_sums(kern, q, m, rhs[:m])[0])
+
+    def test_pilot_pair_takes_the_same_sums(self, raw_kernels):
+        # K * K = K for an indicator: rhs_sq is summed as extra columns
+        for kern, cf in raw_kernels:
+            m = min(pricer.PILOT_SAMPLES, len(cf))
+            nq = min(pricer.PILOT_QUERIES, kern.n_queries)
+            w = kern.weight[:m]
+            cfw = cf[:m] * w
+            rhs = np.stack([cfw, w, np.abs(w)], axis=1) / m
+            rhs_sq = np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m
+            got = kern.sums(nq, m, rhs, rhs_sq)
+            want = _full_range_tile_sums(kern, nq, m, rhs, rhs_sq)
+            for r, g, v in zip((rhs, rhs_sq), got, want):
+                _assert_within_dominance_tolerance(kern, nq, m, r, g, v)
+
+    def test_all_zero_right_hand_side_sums_to_zero(self, raw_kernels):
+        for kern, cf in raw_kernels:
+            n, n_q = len(cf), kern.n_queries
+            got, got_sq = kern.sums(n_q, n, np.zeros((n, 2)), np.zeros((n, 3)))
+            assert not got.any() and not got_sq.any()
+            assert got.shape == (n_q, 2) and got_sq.shape == (n_q, 3)
+
+    @pytest.mark.parametrize("dim,correlated,kind,method,calibration", [
+        (1, False, "geometric_put", "P2opt", "M2"),
+        (1, False, "geometric_put", "P1", "closed"),
+        (2, False, "min_put", "P1", "closed"),
+        (2, False, "geometric_put", "P2opt", "M2"),
+        (2, True, "geometric_put", "P2opt", "M1"),
+        (2, True, "max_call", "P2eq", "M1"),
+    ])
+    def test_prices_match_the_tile_loop(self, dim, correlated, kind, method, calibration, tri_vol_2d,
+                                        monkeypatch):
+        calls = []
+        real = pricer._dominance_sums
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(pricer, "_dominance_sums", counting)
+        price = partial(price_mcm, Payoff(kind, dim, 100.0), tri_vol_2d.mats[0] if correlated else 0.2,
+                        1.0, 5, 100.0, BENCH_RATE, 2**10 + 77, seed=12, method=method,
+                        conditioning=False, replications=2, calibration=calibration)
+        fast = price()
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(pricer._DateKernel, "sums", pricer._tile_sums)
+        dense = price()
+        assert not calls
+        assert fast.values == dense.values and fast.fallbacks == dense.fallbacks
 
 
 class TestTooling:
