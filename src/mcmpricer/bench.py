@@ -87,7 +87,7 @@ class RunConfig:
         except (ValueError, McmPricerError) as exc:
             raise ConfigError("payoff", str(exc)) from exc
         try:
-            vol = build_vol(self.dim, self.vol, rate=self.rate)
+            vol = build_vol(self.dim, self.vol)
         except (ValueError, TypeError, KeyError, McmPricerError) as exc:
             raise ConfigError("vol", f"{type(exc).__name__}: {exc}") from exc
         if vol.breaks[-1] < self.maturity:

@@ -29,8 +29,8 @@ class TimeGrid:
     dates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        if not 0.0 < self.maturity < np.inf:
+            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         dates = np.linspace(0.0, float(self.maturity), int(self.n_steps) + 1)
@@ -189,10 +189,10 @@ class AssetPaths:
 
 
 def initial_assets(s0, dim: int) -> np.ndarray:
-    """``s0`` as a fresh vector of ``dim`` initial asset values; raises ValueError unless all are positive."""
+    """``s0`` as a fresh vector of ``dim`` initial asset values, all finite and positive (else ValueError)."""
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), (dim,)).copy()
-    if np.any(s0 <= 0.0):
-        raise ValueError("initial asset values must be positive")
+    if not np.all((s0 > 0.0) & (s0 < np.inf)):
+        raise ValueError(f"initial asset values must be positive and finite, got {s0}")
     return s0
 
 
@@ -210,7 +210,7 @@ def simulate_paths(
     Parameters
     ----------
     vol, grid : model and exercise schedule; vol must cover [0, T].
-    s0 : initial asset vector (componentwise positive) or scalar.
+    s0 : initial asset vector (componentwise finite and positive) or scalar.
     r : risk-neutral drift rate.
     n_paths, seed : sample size and master seed.  The output is a pure
         function of (seed, parameters).

@@ -22,8 +22,8 @@ Both variants estimate the same quotient E[cashflow K_x] / E[K_x] and differ
 only in the kernel K_x, so one engine serves both: a per-date kernel
 (``_DateKernel``) feeds one pilot and one main sum through its sums engine.
 The exp kernel, and the raw kernel at d >= 3, build K in cache-sized tiles;
-the raw indicator kernel at d <= 2 takes exact dominance sums over sorted
-samples instead, without building K.
+the raw indicator kernel at d <= 2 takes exact dominance sums instead, one
+rank-space routine for both dimensions, without building K.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -89,8 +89,8 @@ class Payoff:
             raise DimensionMismatchError(f"{self.kind} requires dim=2, got {self.dim}")
         if self.dim < 1:
             raise DimensionMismatchError(f"dim must be >= 1, got {self.dim}")
-        if self.strike <= 0.0:
-            raise ValueError("strike must be positive")
+        if not 0.0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return evaluate_payoff(self, s)
@@ -134,13 +134,13 @@ class PriceEstimate:
 class _DateKernel:
     """The kernel K_x of one exercise date, for every in-the-money query x.
 
-    ``rows(lo, hi, s_lo, s_hi, out)`` writes K for queries lo..hi-1 against
-    samples s_lo..s_hi-1 into ``out`` (shape (hi-lo, s_hi-s_lo)) and returns
-    it, by ``build(queries[lo:hi], samples[:, s_lo:s_hi], out)``: exp(U V^T)
-    for the conditioned estimator (queries U, samples V^T), the indicator
-    1{S_s >= x} for the raw one (queries x, samples S_s^T).  ``engine`` is
-    the function behind ``sums``: ``_tile_sums``, which builds K through
-    ``rows``, or ``_dominance_sums`` for the raw kernel at d <= 2.
+    ``build(queries[lo:hi], samples[:, s_lo:s_hi], out)`` writes K for
+    queries lo..hi-1 against samples s_lo..s_hi-1 into ``out`` (shape
+    (hi-lo, s_hi-s_lo)) and returns it: exp(U V^T) for the conditioned
+    estimator (queries U, samples V^T), the indicator 1{S_s >= x} for the raw
+    one (queries x, samples S_s^T).  ``engine`` is the function behind
+    ``sums``: ``_tile_sums``, which builds K tile by tile, or
+    ``_dominance_sums`` for the raw kernel at d <= 2.
     ``weight`` is the per-sample weight: Gamma / prod S_s for the raw kernel,
     ones for the conditioned one.  ``closed_b`` is the closed-form
     denominator (P1) and ``closed_s2`` the closed-form denominator std
@@ -160,20 +160,11 @@ class _DateKernel:
     def n_queries(self) -> int:
         return len(self.queries)
 
-    def rows(self, lo: int, hi: int, s_lo: int, s_hi: int, out: np.ndarray) -> np.ndarray:
-        return self.build(self.queries[lo:hi], self.samples[:, s_lo:s_hi], out)
-
     def sums(
         self, n_q: int, m: int, rhs: np.ndarray, rhs_sq: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """K @ rhs, and (K * K) @ rhs_sq when given, for queries 0..n_q-1 over samples 0..m-1."""
         return self.engine(self, n_q, m, rhs, rhs_sq)
-
-    def restrict(self, idx: np.ndarray) -> _DateKernel:
-        """The same kernel over the samples ``idx`` only, renumbered 0..len(idx)-1."""
-        # take keeps the sample rows C-contiguous; samples[:, idx] comes back
-        # column-major, and the conditioned tile matmul then runs ~10x slower
-        return replace(self, samples=np.take(self.samples, idx, axis=1), weight=self.weight[idx])
 
 
 def _exp_rows(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -241,8 +232,8 @@ def _tile_sums(
     support, the samples whose row of ``rhs`` or ``rhs_sq`` is not all zero:
     a zero row adds nothing to the sums.  When the support is smaller than
     m (a case-2 numerator past n, a cash flow that is zero on most paths),
-    the loop runs over the kernel restricted to it; otherwise over the
-    date's own sample arrays, unchanged.  K is built one QUERY_TILE x
+    the loop runs over a copy of the support's sample columns; otherwise over
+    the date's own sample array, unchanged.  K is built one QUERY_TILE x
     SAMPLE_TILE tile at a time in one reused buffer; each tile is multiplied
     by its rows of ``rhs``, then squared in place and multiplied by its rows
     of ``rhs_sq``, and the products are summed into per-query accumulators.
@@ -253,8 +244,11 @@ def _tile_sums(
         for col in r.T:
             nonzero |= col != 0.0
     support = np.flatnonzero(nonzero)
+    samples = kern.samples
     if len(support) < m:
-        kern, m, rhs = kern.restrict(support), len(support), rhs[support]
+        # take keeps the sample rows C-contiguous; samples[:, support] comes back
+        # column-major, and the conditioned tile matmul then runs ~10x slower
+        samples, m, rhs = np.take(samples, support, axis=1), len(support), rhs[support]
         rhs_sq = None if rhs_sq is None else rhs_sq[support]
     sums = np.zeros((n_q, rhs.shape[1]))
     sums_sq = None if rhs_sq is None else np.zeros((n_q, rhs_sq.shape[1]))
@@ -264,7 +258,7 @@ def _tile_sums(
         for s_lo in range(0, m, SAMPLE_TILE):
             s_hi = min(s_lo + SAMPLE_TILE, m)
             tile = buf[: (hi - lo) * (s_hi - s_lo)].reshape(hi - lo, s_hi - s_lo)
-            kern.rows(lo, hi, s_lo, s_hi, tile)
+            kern.build(kern.queries[lo:hi], samples[:, s_lo:s_hi], tile)
             sums[lo:hi] += tile @ rhs[s_lo:s_hi]
             if rhs_sq is not None:
                 sums_sq[lo:hi] += np.square(tile, out=tile) @ rhs_sq[s_lo:s_hi]
@@ -281,76 +275,67 @@ def _dominance_sums(
     sum as extra columns.  Each coordinate is ranked by a sort, and
     searchsorted(side="left") turns x_q into c_q, the first rank whose value
     is >= x_q: the samples of rank >= c_q are exactly those with S_s >= x_q,
-    in whatever order ties are ranked, the query's own sample included.  At
-    d = 1 the sum is a suffix cumsum at c_q.  At d = 2 it is a rank-space
-    square-root decomposition: the samples at or past the next whole cell on
-    both axes sum through 2-D cumsums over a grid of cells w ranks wide, and
-    the two strips of fewer than w ranks in front of it are checked sample
-    by sample.  The cost is O(m log m + n_q w + (m / w)^2) per column, with
-    w = (m^2 / n_q)^(1/3).
+    in whatever order ties are ranked, the query's own sample included.  The
+    sum is a rank-space square-root decomposition: the samples at or past the
+    next whole cell on every axis sum through cumsums over a grid of cells w
+    ranks wide, and one strip of fewer than w ranks per axis, in front of
+    that corner, is checked sample by sample.  The cost is
+    O(m log m + n_q d w + (m / w)^d) per column, with w = (m^d / n_q)^(1/(d+1)).
     """
     cols = rhs if rhs_sq is None else np.concatenate([rhs, rhs_sq], axis=1)
     n_cols = cols.shape[1]
     samples = kern.samples[:, :m]
-    # order[j]: the samples by ascending coordinate j; start[j][q]: the first rank of query q
+    d = len(samples)
+    # order[j]: the samples by ascending coordinate j, rank[j] its inverse;
+    # start[j][q]: the first rank of query q on axis j
     order = [np.argsort(s_j) for s_j in samples]
     start = [np.searchsorted(s_j[o], x_j, side="left")
              for s_j, o, x_j in zip(samples, order, kern.queries[:n_q].T)]
-    if len(order) == 1:
-        suffix = np.zeros((m + 1, n_cols))
-        suffix[:m] = np.cumsum(cols[order[0][::-1]], axis=0)[::-1]
-        sums = suffix[start[0]]
-    else:
-        sums = _dominance_sums_2d(cols, m, order, start)
-    if rhs_sq is None:
-        return sums, None
-    return sums[:, : rhs.shape[1]], sums[:, rhs.shape[1]:]
-
-
-def _dominance_sums_2d(cols: np.ndarray, m: int, order: list[np.ndarray],
-                       start: list[np.ndarray]) -> np.ndarray:
-    """Sum of ``cols`` over the samples of rank >= start[0] on axis 0 and >= start[1] on axis 1."""
-    n_q, n_cols = len(start[0]), cols.shape[1]
     rank = []
     for o in order:
         r = np.empty(m, dtype=np.intp)
         r[o] = np.arange(m)
         rank.append(r)
-    width = max(1, round((m * m / max(n_q, 1)) ** (1.0 / 3.0)))
+    width = max(1, round((m**d / max(n_q, 1)) ** (1.0 / (d + 1))))
     g = -(-m // width)
-    # cell (i, j) of ranks [i w, (i+1) w) x [j w, (j+1) w) sits at (g - i, g - j) of a
-    # (g+1)^2 grid whose row and column 0 stay zero, so the prefix cumsums along both
-    # axes hold, at (g - i, g - j), the sum over ranks >= i w on axis 0 and >= j w on axis 1
-    cell = (g - rank[0] // width) * (g + 1) + (g - rank[1] // width)
-    grid = np.empty(((g + 1) ** 2, n_cols))
+    shape = (g + 1,) * d
+    # the cell of ranks [i_j w, (i_j+1) w) on each axis j sits at g - i_j on that axis
+    # of a (g+1)^d grid whose index 0 on every axis stays zero, so the prefix cumsums
+    # along every axis hold there the sum over ranks >= i_j w on every axis j
+    cell = np.ravel_multi_index([g - r // width for r in rank], shape)
+    grid = np.empty(((g + 1) ** d, n_cols))
     for c in range(n_cols):
-        grid[:, c] = np.bincount(cell, weights=cols[:, c], minlength=(g + 1) ** 2)
-    square = grid.reshape(g + 1, g + 1, n_cols)
-    np.cumsum(square, axis=0, out=square)
-    np.cumsum(square, axis=1, out=square)
+        grid[:, c] = np.bincount(cell, weights=cols[:, c], minlength=len(grid))
+    cube = grid.reshape(*shape, n_cols)
+    for axis in range(d):
+        np.cumsum(cube, axis=axis, out=cube)
     # whole[j]: the first cell edge at or past start[j]
     whole = [-(-s // width) * width for s in start]
-    sums = grid[(g - whole[0] // width) * (g + 1) + (g - whole[1] // width)]
-    # strip 0: ranks start[0]..whole[0]-1 on axis 0 with rank >= start[1] on axis 1;
-    # strip 1: ranks start[1]..whole[1]-1 on axis 1 with rank >= whole[0] on axis 0
+    sums = grid[np.ravel_multi_index([g - e // width for e in whole], shape)]
+    # strip j: ranks start[j]..whole[j]-1 on axis j, with rank >= whole[i] on the
+    # axes i < j and >= start[i] on the axes i > j
     strips = []
-    for j, (first, bound) in enumerate(((start[0], start[1]), (start[1], whole[0]))):
+    for j in range(d):
         # the columns in the strip's rank order, one row each, and a zero at m for the
         # positions a query leaves out
         sorted_cols = np.zeros((n_cols, m + 1))
         sorted_cols[:, :m] = cols[order[j]].T
-        strips.append((first, np.minimum(whole[j], m), rank[1 - j][order[j]], bound, sorted_cols))
+        bounds = [(rank[i][order[j]], whole[i] if i < j else start[i]) for i in range(d) if i != j]
+        strips.append((start[j], np.minimum(whole[j], m), bounds, sorted_cols))
     offsets = np.arange(width)
     for lo in range(0, n_q, DOMINANCE_QUERY_TILE):
         hi = min(lo + DOMINANCE_QUERY_TILE, n_q)
-        for first, end, other_rank, bound, sorted_cols in strips:
+        for first, end, bounds, sorted_cols in strips:
             pos = first[lo:hi, None] + offsets
             inside = pos < end[lo:hi, None]
-            inside &= np.take(other_rank, pos, mode="clip") >= bound[lo:hi, None]
+            for other_rank, bound in bounds:
+                inside &= np.take(other_rank, pos, mode="clip") >= bound[lo:hi, None]
             pos[~inside] = m
             for c in range(n_cols):
                 sums[lo:hi, c] += np.take(sorted_cols[c], pos).sum(axis=1)
-    return sums
+    if rhs_sq is None:
+        return sums, None
+    return sums[:, : rhs.shape[1]], sums[:, rhs.shape[1]:]
 
 
 def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientPlan:
@@ -569,28 +554,19 @@ def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
         raise
 
 
-def _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers) -> PriceEstimate:
-    """Run ``replications`` sweeps on ``n_workers`` processes, the caller included, and aggregate.
+def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
+    """Run ``job(i)`` for every i < ``replications`` on ``n_workers`` processes, and aggregate.
 
-    ``sweep(paths, payoff)`` returns (value, fallbacks): a picklable partial
-    of _backward_induction carrying its continuation.  The call starts
-    min(n_workers, replications) - 1 spawn workers; the caller and the
+    ``job(i)`` returns (value, fallbacks): a picklable partial of
+    _one_replication.  The caller is one of the processes: the call starts
+    min(n_workers, replications) - 1 spawn workers, and the caller and the
     workers claim replication indices from one shared counter until none is
-    left, so the caller prices while its workers start up.  Replication i simulates on
-    ``vol`` and ``grid`` from replication_seed(seed, i), so the values are a
-    pure function of (seed, parameters), independent of n_workers.  The caller
-    keeps BLAS threading as installed; each worker gets max(1, cores //
-    n_workers) BLAS threads.  Raises ValueError, before any path or process
-    starts, when ``replications``, ``n_workers`` or ``n_paths`` is below 1,
-    ``s0`` is not positive or ``vol`` ends before maturity.
+    left, so the caller prices while its workers start up.  The values are
+    a pure function of ``job``, independent of n_workers.  The caller keeps
+    BLAS threading as installed; each worker gets max(1, cores // n_workers)
+    BLAS threads.
     """
-    if replications < 1 or n_workers < 1 or n_paths < 1:
-        raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
-                         f"got {replications}, {n_workers} and {n_paths}")
-    initial_assets(s0, vol.dim)
-    vol.overlaps(0.0, grid.maturity)
     t0 = time.perf_counter()
-    job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
     n_spawn = min(n_workers, replications) - 1
     if n_spawn < 1:
         out = [(i, job(i)) for i in range(replications)]
@@ -652,16 +628,23 @@ def price_mcm(
     otherwise; "M1" and "M2" run the pilots.  An unknown ``method`` or
     ``calibration``, a malformed ``vol_spec`` or one that ends before
     ``maturity``, P1 on vol that is not constant diagonal
-    (NotDiagonalError), a non-positive ``s0``, and ``replications``,
-    ``n_workers`` or ``n_paths`` below 1 raise before any path or worker
-    starts.
+    (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and
+    positive, a non-finite ``r``, and ``replications``, ``n_workers`` or
+    ``n_paths`` below 1 raise before any path or worker starts.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if calibration not in CALIBRATIONS:
         raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
-    vol = build_vol(payoff.dim, vol_spec, rate=r)
+    if not -math.inf < r < math.inf:
+        raise ValueError(f"r must be finite, got {r}")
+    if replications < 1 or n_workers < 1 or n_paths < 1:
+        raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
+                         f"got {replications}, {n_workers} and {n_paths}")
+    vol = build_vol(payoff.dim, vol_spec)
     grid = TimeGrid(maturity, n_steps)
+    initial_assets(s0, vol.dim)
+    vol.overlaps(0.0, grid.maturity)
     closed_forms = vol.is_diagonal and vol.is_constant
     if method == "P1" and not closed_forms:
         raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
@@ -670,7 +653,8 @@ def price_mcm(
     continuation = _ls_continuation if method == "LS" else partial(
         _mcm_continuation, method=method, conditioning=conditioning, calibration=calibration)
     sweep = partial(_backward_induction, continuation=continuation)
-    return _replicate(sweep, payoff, vol, grid, s0, r, n_paths, seed, replications, n_workers)
+    job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
+    return _replicate(job, replications, n_workers)
 
 
 def european_value(paths: AssetPaths, payoff: Payoff) -> float:
@@ -770,7 +754,7 @@ def conditional_expectation_check(x: float, n_paths: int = 2**18, seed: int = 20
     (equal counts) on a two-date grid.
     """
     strike, sigma, r = 100.0, 0.2, float(np.log(1.1))
-    paths = simulate_paths(build_vol(1, sigma, rate=r), TimeGrid(1.0, 2), 100.0, r, n_paths, seed)
+    paths = simulate_paths(build_vol(1, sigma), TimeGrid(1.0, 2), 100.0, r, n_paths, seed)
     g = np.maximum(strike - paths.s[:, -1, 0], 0.0)
     num, den = conditioned_continuation(paths, 1, 2, x, g)
     return num / den, lognormal_conditional_put(x, strike, r, sigma, 0.5)

@@ -58,6 +58,11 @@ class TestPayoff:
         p = Payoff("geometric_put", 1, 100.0)
         assert evaluate_payoff(p, np.array([80.0])) == pytest.approx(20.0, abs=1e-12)
 
+    @pytest.mark.parametrize("strike", [0.0, -1.0, np.nan, np.inf])
+    def test_strike_must_be_positive_and_finite(self, strike):
+        with pytest.raises(ValueError, match="strike must be positive and finite"):
+            Payoff("geometric_put", 1, strike)
+
     def test_min_put_requires_two_assets(self):
         with pytest.raises(DimensionMismatchError):
             Payoff("min_put", 5, 100.0)
@@ -167,15 +172,16 @@ class TestEngine:
                 kern = pricer._conditioned_kernel(paths, k, x, "P2eq", "M1")
                 params = DiagonalKernelParams.from_model(paths.vol, 0.5, 0.75, BENCH_RATE, paths.s0)
                 expected = np.array([kernel_h(params, xi, paths.w_at_date(k + 1)) for xi in x])
-                rows = kern.rows(0, 5, 0, n, np.empty((5, n)))
+                rows = kern.build(kern.queries, kern.samples, np.empty((5, n)))
                 np.testing.assert_allclose(rows, expected, rtol=1e-12)
             else:
                 kern = pricer._raw_kernel(paths, k, x, "P2eq")
                 ind = np.all(s_k[None, :, :] >= x[:, None, :], axis=-1)
-                rows = kern.rows(0, 5, 0, n, np.empty((5, n)))
+                rows = kern.build(kern.queries, kern.samples, np.empty((5, n)))
                 np.testing.assert_array_equal(rows * kern.weight, ind * path_weights(paths, k, k + 1))
             # a sub-range of queries and samples is the same slice of the rows
-            np.testing.assert_allclose(kern.rows(1, 4, 1000, 2500, np.empty((3, 1500))),
+            np.testing.assert_allclose(kern.build(kern.queries[1:4], kern.samples[:, 1000:2500],
+                                                  np.empty((3, 1500))),
                                        rows[1:4, 1000:2500], rtol=1e-14)
             num, den = pricer._kernel_sums(kern, g, n, n)
             for i, xi in enumerate(x):
@@ -300,7 +306,7 @@ def _normalised_matrix_pilot(kern, cf, calibration):
     n = len(cf)
     nq = min(pricer.PILOT_QUERIES, kern.n_queries)
     m = min(pricer.PILOT_SAMPLES, n)
-    kmat = kern.rows(0, nq, 0, m, np.empty((nq, m))) * kern.weight[:m]
+    kmat = kern.build(kern.queries[:nq], kern.samples[:, :m], np.empty((nq, m))) * kern.weight[:m]
     closed = calibration == "closed" and kern.closed_s2 is not None
     scale = kern.closed_b[:nq] if closed else np.mean(np.abs(kmat), axis=1)
     good = scale > 0.0
@@ -346,7 +352,7 @@ def _full_range_tile_sums(kern, n_q, m, rhs, rhs_sq=None):
         for s_lo in range(0, m, pricer.SAMPLE_TILE):
             s_hi = min(s_lo + pricer.SAMPLE_TILE, m)
             tile = buf[: (hi - lo) * (s_hi - s_lo)].reshape(hi - lo, s_hi - s_lo)
-            kern.rows(lo, hi, s_lo, s_hi, tile)
+            kern.build(kern.queries[lo:hi], kern.samples[:, s_lo:s_hi], tile)
             sums[lo:hi] += tile @ rhs[s_lo:s_hi]
             if rhs_sq is not None:
                 sums_sq[lo:hi] += np.square(tile, out=tile) @ rhs_sq[s_lo:s_hi]
@@ -365,12 +371,14 @@ def _full_range_kernel_sums(kern, cf, n_num, n_den):
 
 
 def _counting(kern):
-    """``kern`` with a row builder that records, per tile, its entry count and
-    whether its samples are a view of kern's own sample array."""
+    """``kern`` with a row builder that records, per tile, its entry count, whether
+    its samples are a view of kern's own sample array, and whether they have unit
+    stride along the sample axis."""
     tiles = []
 
     def build(queries, samples, out):
-        tiles.append((out.size, np.shares_memory(samples, kern.samples)))
+        tiles.append((out.size, np.shares_memory(samples, kern.samples),
+                      samples.strides[1] == samples.itemsize))
         return kern.build(queries, samples, out)
 
     return replace(kern, build=build), tiles
@@ -448,13 +456,15 @@ class TestKernelSupport:
                 support = np.any(np.concatenate(args, axis=1) != 0.0, axis=1)
                 counting, tiles = _counting(kern)
                 pricer._tile_sums(counting, n_q, n, *args)
-                assert sum(size for size, _ in tiles) == n_q * np.count_nonzero(support)
+                assert sum(size for size, _, _ in tiles) == n_q * np.count_nonzero(support)
+                # row-major like the date's own samples, which the tile matmul reads fastest
+                assert all(unit for _, _, unit in tiles)
             # a full support builds n_q * m entries on the date's own sample arrays, no copy
             for m, rhs in ((n, np.stack([cf * w, w], axis=1) / n), (2500, w[:2500, None])):
                 counting, tiles = _counting(kern)
                 pricer._tile_sums(counting, n_q, m, rhs)
-                assert sum(size for size, _ in tiles) == n_q * m
-                assert all(own for _, own in tiles)
+                assert sum(size for size, _, _ in tiles) == n_q * m
+                assert all(own and unit for _, own, unit in tiles)
 
     def test_full_support_is_bitwise_the_full_range_loop(self, tile_kernels):
         for kern, cf in tile_kernels:
@@ -471,18 +481,6 @@ class TestKernelSupport:
                 for got, want in zip(pricer._kernel_sums(kern, cf, n_num, n),
                                      _full_range_kernel_sums(kern, cf, n_num, n)):
                     assert np.array_equal(got, want)
-
-    def test_restricted_kernel_is_the_sample_slice(self, kernels):
-        for kern, cf in kernels:
-            n, n_q = len(cf), kern.n_queries
-            idx = np.flatnonzero(cf)
-            sub = kern.restrict(idx)
-            # row-major like the date's own samples, which the tile matmul reads fastest
-            assert sub.samples.flags.c_contiguous
-            full = kern.rows(0, n_q, 0, n, np.empty((n_q, n)))
-            np.testing.assert_allclose(sub.rows(0, n_q, 0, len(idx), np.empty((n_q, len(idx)))),
-                                       full[:, idx], rtol=1e-14, atol=0.0)
-            assert np.array_equal(sub.weight, kern.weight[idx])
 
 
 def _assert_within_dominance_tolerance(kern, n_q, m, rhs, got, want):
@@ -513,11 +511,11 @@ class TestDominanceSums:
             kern = pricer._raw_kernel(paths, k, s_k[payoff(s_k) > 0.0], "P2opt")
             assert kern.engine is pricer._dominance_sums
             out.append((kern, payoff(paths.s[:, -1, :])))
-        # duplicated coordinates: samples and queries on a grid of half units
-        kern, cf = out[-1]
-        out.append((replace(kern, queries=np.round(2.0 * kern.queries) / 2.0,
-                            samples=np.round(2.0 * kern.samples) / 2.0), cf))
-        assert len(np.unique(out[-1][0].samples[0])) < 200
+        # duplicated coordinates: samples and queries on a grid of half units, at d = 1 and 2
+        for kern, cf in (out[0], out[-1]):
+            out.append((replace(kern, queries=np.round(2.0 * kern.queries) / 2.0,
+                                samples=np.round(2.0 * kern.samples) / 2.0), cf))
+            assert len(np.unique(out[-1][0].samples[0])) < 200
         return out
 
     def test_sums_match_the_full_range_loop(self, raw_kernels):
@@ -589,7 +587,7 @@ class TestTooling:
         # a light import keeps set-up and the start-up of every spawn worker short;
         # only a call that starts a process pool loads the pool's modules
         env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
-        modules = ["scipy", "multiprocessing", "concurrent.futures.process"]
+        modules = ["scipy", "multiprocessing", "concurrent.futures.process", "mcmpricer.bench", "argparse"]
         code = f"import sys, mcmpricer; print([m for m in {modules!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
@@ -730,8 +728,9 @@ SHORT_VOL = {"breaks": [0.0, 0.5], "matrices": [[[0.2, 0.0], [0.0, 0.2]]]}
 
 def _small_replicate(sweep, replications, n_workers):
     payoff = Payoff("geometric_put", 2, 100.0)
-    return pricer._replicate(sweep, payoff, build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE,
-                             2**9, 5, replications, n_workers)
+    job = partial(pricer._one_replication, sweep, payoff, build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0,
+                  BENCH_RATE, 2**9, 5)
+    return pricer._replicate(job, replications, n_workers)
 
 
 class TestReplicationPool:
@@ -771,6 +770,12 @@ class TestReplicationPool:
         (0.2, {"method": "LS", "s0": -1.0}, ValueError, "initial asset values must be positive"),
         (SHORT_VOL, {"method": "LS"}, ValueError, "vol spec covers up to t=0.5"),
         (0.2, {"method": "LS", "calibration": "fancy"}, ValueError, "calibration must be one of"),
+        (0.2, {"r": np.nan}, ValueError, "r must be finite"),
+        (0.2, {"r": np.inf}, ValueError, "r must be finite"),
+        (0.2, {"s0": np.inf}, ValueError, "initial asset values must be positive"),
+        (0.2, {"s0": np.nan}, ValueError, "initial asset values must be positive"),
+        (0.2, {"maturity": np.nan}, ValueError, "maturity must be positive"),
+        (0.2, {"method": "LS", "r": np.nan}, ValueError, "r must be finite"),
     ])
     def test_bad_estimator_or_vol_raises_before_any_work(self, vol_spec, kwargs, error, match, monkeypatch):
         def started(*args, **kwargs):
@@ -778,10 +783,9 @@ class TestReplicationPool:
 
         monkeypatch.setattr(pricer, "simulate_paths", started)
         monkeypatch.setattr(multiprocessing, "get_context", started)
-        args = {"s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1, **kwargs}
+        args = {"maturity": 1.0, "n_steps": 2, "s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1, **kwargs}
         with pytest.raises(error, match=match):
-            price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, replications=4, n_workers=2,
-                      **args)
+            price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, replications=4, n_workers=2, **args)
         assert multiprocessing.active_children() == []
 
     def test_caller_prices_while_workers_start(self):
