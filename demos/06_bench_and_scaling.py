@@ -26,6 +26,7 @@ def main():
     print("prices identical across degrees by construction (hard-checked).")
 
 
-# scaling_report spawns worker processes, so the script needs a main guard
+# scaling_report starts worker processes, and each imports this script again,
+# so the script needs a main guard
 if __name__ == "__main__":
     main()

@@ -14,7 +14,6 @@ from .pricer import (
     PriceEstimate,
     conditional_expectation_check,
     evaluate_payoff,
-    european_value,
     geometric_equivalent_1d,
     lognormal_conditional_put,
     price_mcm,
@@ -71,7 +70,6 @@ __all__ = [
     "conditioned_continuation",
     "denominator_closed_form",
     "evaluate_payoff",
-    "european_value",
     "gamma_bruteforce",
     "gamma_recursive",
     "geometric_equivalent_1d",

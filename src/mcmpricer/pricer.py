@@ -28,13 +28,15 @@ rank-space routine for both dimensions, without building K.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
+import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -498,16 +500,17 @@ def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
 
 
 @contextmanager
-def _worker_blas_threads(n_workers: int):
-    """Set the BLAS thread variables to max(1, cores // n_workers), then restore them.
+def _worker_blas_threads():
+    """Set the BLAS thread variables to 1, then restore them.
 
-    BLAS libraries read these variables when they load, so processes started
-    inside the block share the cores without oversubscribing them, while
-    this process keeps the threads it loaded with.
+    BLAS libraries read these variables when they load, so the workers
+    started inside the block run one BLAS thread each, and this process
+    keeps the threads it loaded with.  A forkserver reads them once, when the
+    first pool starts it; one BLAS thread also leaves it single-threaded, so
+    it forks without CPython's warning on forking a threaded process.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(max(1, cores // n_workers))))
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         yield
     finally:
@@ -518,12 +521,30 @@ def _worker_blas_threads(n_workers: int):
                 os.environ[name] = value
 
 
-# the claim counter of a spawn worker, installed by _install_counter when it starts
+@cache
+def _forkserver_context():
+    """The forkserver context with numpy preloaded, made on the first parallel call.
+
+    The first pool starts the server, which imports numpy once; every worker
+    of every later call is a fork of it.  The exit hook registered here is
+    the stdlib's own stop: it closes the server's "alive" pipe and waits for
+    the server to exit, so the server does not outlive the caller.  Each
+    worker holds that pipe too, so the server can exit only because every
+    pool is shut down before its call returns.
+    """
+    from multiprocessing import forkserver, get_context
+
+    forkserver.set_forkserver_preload(["numpy"])
+    atexit.register(forkserver._forkserver._stop)
+    return get_context("forkserver")
+
+
+# the claim counter of a pool worker, installed by _install_counter when it starts
 _worker_counter = None
 
 
 def _install_counter(counter) -> None:
-    """Pool initializer: a synchronized value reaches a spawn child only at its start."""
+    """Pool initializer: a synchronized value reaches a worker only with its start-up data."""
     global _worker_counter
     _worker_counter = counter
 
@@ -533,10 +554,10 @@ def _drain(job, replications: int, counter=None) -> list[tuple[int, object]]:
 
     Returns the (index, result) pairs this process priced.  ``counter`` is
     the call's shared counter (``value`` read and incremented under
-    ``get_lock()``); the caller passes it, and a spawn worker passes none
-    and uses the one its pool installed.  A failing job pushes the counter
-    to ``replications``, so every other process stops after the replication
-    it is pricing.
+    ``get_lock()``); the caller passes it, and a pool worker passes none and
+    uses the one its pool installed.  A failing job pushes the counter to
+    ``replications``, so every other process stops after the replication it
+    is pricing.
     """
     counter = _worker_counter if counter is None else counter
     out = []
@@ -559,28 +580,31 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
 
     ``job(i)`` returns (value, fallbacks): a picklable partial of
     _one_replication.  The caller is one of the processes: the call starts
-    min(n_workers, replications) - 1 spawn workers, and the caller and the
-    workers claim replication indices from one shared counter until none is
-    left, so the caller prices while its workers start up.  The values are
-    a pure function of ``job``, independent of n_workers.  The caller keeps
-    BLAS threading as installed; each worker gets max(1, cores // n_workers)
-    BLAS threads.
+    min(n_workers, replications) - 1 workers, and the caller and the workers
+    claim replication indices from one shared counter until none is left,
+    so the caller prices while its workers start up.  On Linux the workers
+    are forks of a forkserver that has already imported numpy
+    (``_forkserver_context``); elsewhere they are spawned.  The pool is shut
+    down before the call returns.  The values are a pure function of
+    ``job``, independent of n_workers and of the start method.  The caller
+    keeps BLAS threading as installed; each worker runs one BLAS thread.
     """
     t0 = time.perf_counter()
-    n_spawn = min(n_workers, replications) - 1
-    if n_spawn < 1:
+    n_pool = min(n_workers, replications) - 1
+    if n_pool < 1:
         out = [(i, job(i)) for i in range(replications)]
     else:
         # imported here: serial calls, and an import of the package, never load them
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        ctx = get_context("spawn")
+        # the start method CPython 3.14 defaults to: forkserver on Linux, spawn elsewhere
+        ctx = _forkserver_context() if sys.platform.startswith("linux") else get_context("spawn")
         counter = ctx.Value("q", 0)
-        with _worker_blas_threads(n_workers), ProcessPoolExecutor(
-            max_workers=n_spawn, mp_context=ctx, initializer=_install_counter, initargs=(counter,)
+        with _worker_blas_threads(), ProcessPoolExecutor(
+            max_workers=n_pool, mp_context=ctx, initializer=_install_counter, initargs=(counter,)
         ) as pool:
-            futures = [pool.submit(_drain, job, replications) for _ in range(n_spawn)]
+            futures = [pool.submit(_drain, job, replications) for _ in range(n_pool)]
             out = _drain(job, replications, counter)
             for future in futures:
                 out += future.result()
@@ -612,10 +636,10 @@ def price_mcm(
 
     Each replication simulates its own paths from a derived seed and runs the
     backward induction with the chosen continuation estimator.  ``n_workers``
-    processes price the replications, the caller included; spawn workers get
-    max(1, cores // n_workers) BLAS threads and the caller keeps its own.
-    Results are a pure function of (seed, parameters), independent of
-    n_workers.
+    processes price the replications, the caller included (see
+    ``_replicate``): the workers run one BLAS thread each, and the caller
+    keeps its own.  Results are a pure function of (seed, parameters),
+    independent of n_workers.
 
     "LS" is the Longstaff-Schwartz regression: cubic monomials in s / strike
     for d = 1, linear in the assets otherwise.  ``conditioning`` and
@@ -629,8 +653,10 @@ def price_mcm(
     ``calibration``, a malformed ``vol_spec`` or one that ends before
     ``maturity``, P1 on vol that is not constant diagonal
     (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and
-    positive, a non-finite ``r``, and ``replications``, ``n_workers`` or
-    ``n_paths`` below 1 raise before any path or worker starts.
+    positive, a non-finite ``r``, an ``n_steps``, ``n_paths``,
+    ``replications`` or ``n_workers`` that is not an integer (a bool is not),
+    and ``replications``, ``n_workers`` or ``n_paths`` below 1 raise before
+    any path or worker starts.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -638,6 +664,11 @@ def price_mcm(
         raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
     if not -math.inf < r < math.inf:
         raise ValueError(f"r must be finite, got {r}")
+    counts = {"n_steps": n_steps, "n_paths": n_paths, "replications": replications, "n_workers": n_workers}
+    not_int = [f"{name}={value!r}" for name, value in counts.items()
+               if isinstance(value, bool) or not isinstance(value, (int, np.integer))]
+    if not_int:
+        raise TypeError(f"counts must be integers, got {', '.join(not_int)}")
     if replications < 1 or n_workers < 1 or n_paths < 1:
         raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
                          f"got {replications}, {n_workers} and {n_paths}")
@@ -655,11 +686,6 @@ def price_mcm(
     sweep = partial(_backward_induction, continuation=continuation)
     job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
     return _replicate(job, replications, n_workers)
-
-
-def european_value(paths: AssetPaths, payoff: Payoff) -> float:
-    """Exercise-at-maturity value on the same paths (monotonicity reference)."""
-    return float(np.mean(np.exp(-paths.rate * paths.grid.maturity) * payoff(paths.s[:, -1, :])))
 
 
 # ---------------------------------------------------------------------------

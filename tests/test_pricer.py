@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -22,7 +23,6 @@ from mcmpricer import (
     build_vol,
     conditional_expectation_check,
     conditioned_continuation,
-    european_value,
     evaluate_payoff,
     geometric_equivalent_1d,
     kernel_h,
@@ -87,7 +87,7 @@ class _ConstPayoff:
 
 
 def _mcm_induction(method, conditioning=True, calibration="M1"):
-    """The backward induction with the MCM continuation, picklable for spawn workers."""
+    """The backward induction with the MCM continuation, picklable for pool workers."""
     continuation = partial(_mcm_continuation, method=method, conditioning=conditioning,
                            calibration=calibration)
     return partial(_backward_induction, continuation=continuation)
@@ -129,7 +129,8 @@ class TestSweepIdentities:
         paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 6), 100.0, BENCH_RATE, 2**10, seed=89)
         payoff = Payoff("geometric_put", 2, strike)
         price, _ = _backward_induction(paths, payoff, _fixed_continuation(np.inf, []))
-        assert price == max(float(payoff(paths.s0[None, :])[0]), european_value(paths, payoff))
+        european = float(np.mean(np.exp(-paths.rate * paths.grid.maturity) * payoff(paths.s[:, -1, :])))
+        assert price == max(float(payoff(paths.s0[None, :])[0]), european)
 
     def test_minus_infinite_continuation_exercises_at_the_first_itm_date(self):
         n_steps = 6
@@ -584,7 +585,7 @@ class TestDominanceSums:
 
 class TestTooling:
     def test_import_leaves_scipy_out(self):
-        # a light import keeps set-up and the start-up of every spawn worker short;
+        # a light import keeps set-up and the start-up of every pool worker short;
         # only a call that starts a process pool loads the pool's modules
         env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
         modules = ["scipy", "multiprocessing", "concurrent.futures.process", "mcmpricer.bench", "argparse"]
@@ -593,19 +594,17 @@ class TestTooling:
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
-    def test_worker_blas_threads_split_the_cores_and_restore(self, monkeypatch):
-        cores = len(os.sched_getaffinity(0))
+    def test_worker_blas_threads_are_one_and_restore(self, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        for n_workers, threads in ((1, str(cores)), (cores, "1"), (cores + 3, "1")):
-            with pytest.raises(RuntimeError):
-                with pricer._worker_blas_threads(n_workers):
-                    assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == [threads] * 3
-                    raise RuntimeError
-            assert os.environ["OMP_NUM_THREADS"] == "7"
-            assert "OPENBLAS_NUM_THREADS" not in os.environ
-            assert "MKL_NUM_THREADS" not in os.environ
+        with pytest.raises(RuntimeError):
+            with pricer._worker_blas_threads():
+                assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == ["1"] * 3
+                raise RuntimeError
+        assert os.environ["OMP_NUM_THREADS"] == "7"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
 
 
 class TestPriceMcm:
@@ -630,7 +629,8 @@ class TestPriceMcm:
             for rep in range(8):
                 paths = simulate_paths(vol, TimeGrid(1.0, 10), 100.0, BENCH_RATE, 2**11, seed=900 + rep)
                 am, _ = _mcm_induction("P2opt")(paths, payoff)
-                diffs.append(am - european_value(paths, payoff))
+                european = np.mean(np.exp(-paths.rate * paths.grid.maturity) * payoff(paths.s[:, -1, :]))
+                diffs.append(am - european)
             diffs = np.array(diffs)
             slack = 3.0 * diffs.std() / np.sqrt(len(diffs))
             assert diffs.mean() >= -slack, f"{kind} d={d}: {diffs.mean():.4f} < -{slack:.4f}"
@@ -669,7 +669,7 @@ class TestPriceMcm:
         assert closed.values == m1.values and closed.fallbacks == m1.fallbacks
 
 
-# Sweeps for the pool tests, defined at module level so that spawn workers
+# Sweeps for the pool tests, defined at module level so that pool workers
 # unpickle them by reference.
 def _pid_sweep(paths, payoff):
     """The value of a replication is the id of the process that priced it."""
@@ -694,6 +694,29 @@ def _worker_fails(caller, marks, paths, payoff):
     while not flag.exists() and time.monotonic() < deadline:
         time.sleep(0.01)
     return 0.0, 0
+
+
+def _worker_report(caller, marks, i):
+    """A worker records its parent and BLAS variables; the caller waits up to 60 s for a record."""
+    if os.getpid() != caller:
+        record = {"ppid": os.getppid(), "blas": [os.environ.get(v) for v in pricer.BLAS_THREAD_VARS]}
+        (Path(marks) / f"{os.getpid()}-{i}.json").write_text(json.dumps(record))
+        return 0.0, 0
+    deadline = time.monotonic() + 60.0
+    while not list(Path(marks).glob("*.json")) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return 0.0, 0
+
+
+# One parallel call in a fresh interpreter that stops the resource tracker
+# before it exits, as perfbench/run.py does, and prints the forkserver's pid.
+_EXIT_SCRIPT = """
+from multiprocessing import forkserver, resource_tracker
+from mcmpricer import Payoff, price_mcm
+price_mcm(Payoff("geometric_put", 2, 100.0), 0.2, 1.0, 3, 100.0, 0.0, 256, 1, replications=4, n_workers=2)
+print(forkserver._forkserver._forkserver_pid)
+resource_tracker._resource_tracker._stop()
+"""
 
 
 class _CheckedCounter:
@@ -735,11 +758,13 @@ def _small_replicate(sweep, replications, n_workers):
 
 class TestReplicationPool:
     @pytest.mark.parametrize("replications", [2, 3, 5])
-    def test_values_bitwise_equal_for_any_worker_count(self, replications):
+    def test_values_bitwise_equal_for_any_worker_count(self, replications, monkeypatch):
         sweep = _mcm_induction("P2opt", calibration="closed")
         serial = _small_replicate(sweep, replications, 1)
-        for n_workers in (2, 3, replications + 2):
-            assert _small_replicate(sweep, replications, n_workers).values == serial.values
+        for platform in ("linux", "darwin"):   # forkserver workers, then spawn workers
+            monkeypatch.setattr(sys, "platform", platform)
+            for n_workers in (2, 3, replications + 2):
+                assert _small_replicate(sweep, replications, n_workers).values == serial.values
 
     @pytest.mark.parametrize("method", ["P2opt", "LS"])
     @pytest.mark.parametrize("replications,n_workers,n_paths",
@@ -776,6 +801,13 @@ class TestReplicationPool:
         (0.2, {"s0": np.nan}, ValueError, "initial asset values must be positive"),
         (0.2, {"maturity": np.nan}, ValueError, "maturity must be positive"),
         (0.2, {"method": "LS", "r": np.nan}, ValueError, "r must be finite"),
+        (0.2, {"n_steps": 2.5}, TypeError, r"counts must be integers, got n_steps=2.5"),
+        (0.2, {"n_paths": 100.5}, TypeError, r"counts must be integers, got n_paths=100.5"),
+        (0.2, {"replications": 2.0}, TypeError, r"counts must be integers, got replications=2.0"),
+        (0.2, {"n_workers": 2.0}, TypeError, r"counts must be integers, got n_workers=2.0"),
+        (0.2, {"n_steps": True}, TypeError, r"counts must be integers, got n_steps=True"),
+        (0.2, {"n_workers": True}, TypeError, r"counts must be integers, got n_workers=True"),
+        (0.2, {"method": "LS", "n_paths": 64.0}, TypeError, r"counts must be integers, got n_paths=64.0"),
     ])
     def test_bad_estimator_or_vol_raises_before_any_work(self, vol_spec, kwargs, error, match, monkeypatch):
         def started(*args, **kwargs):
@@ -783,10 +815,31 @@ class TestReplicationPool:
 
         monkeypatch.setattr(pricer, "simulate_paths", started)
         monkeypatch.setattr(multiprocessing, "get_context", started)
-        args = {"maturity": 1.0, "n_steps": 2, "s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1, **kwargs}
+        args = {"maturity": 1.0, "n_steps": 2, "s0": 100.0, "r": 0.0, "n_paths": 64, "seed": 1,
+                "replications": 4, "n_workers": 2, **kwargs}
         with pytest.raises(error, match=match):
-            price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, replications=4, n_workers=2, **args)
+            price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, **args)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    def test_linux_workers_fork_from_the_server_with_one_blas_thread(self, tmp_path):
+        pricer._replicate(partial(_worker_report, os.getpid(), str(tmp_path)), 3, 2)
+        records = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+        assert records
+        for record in records:
+            assert record["ppid"] != os.getpid()
+            assert record["blas"] == ["1"] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    def test_forkserver_is_gone_when_the_caller_exits(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0 and out.stderr == ""
+        server = int(out.stdout)
+        # no sleep: a server that the caller's exit did not stop and wait for would still be running
+        with pytest.raises(ProcessLookupError):
+            os.kill(server, 0)
 
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)
