@@ -31,6 +31,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.maturity < np.inf:
             raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise TypeError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         dates = np.linspace(0.0, float(self.maturity), int(self.n_steps) + 1)
@@ -60,8 +62,8 @@ class TriangularVol:
     def is_constant(self) -> bool:
         return self.mats.shape[0] == 1 or bool(np.all(self.mats == self.mats[0]))
 
-    def overlaps(self, a: float, b: float) -> list[tuple[int, float]]:
-        """(interval index, overlap length) pairs covering [a, b]."""
+    def overlaps(self, a: float, b: float) -> list[tuple[int, float, float]]:
+        """(interval index, lo, hi) per constant vol piece [lo, hi] of [a, b], in time order."""
         if b < a:
             raise ValueError(f"empty interval [{a}, {b}]")
         if b > self.breaks[-1]:
@@ -71,14 +73,14 @@ class TriangularVol:
             lo = max(a, float(self.breaks[i]))
             hi = min(b, float(self.breaks[i + 1]))
             if hi > lo:
-                out.append((i, hi - lo))
+                out.append((i, lo, hi))
         return out
 
     def gram_rho(self, a: float, b: float) -> np.ndarray:
         """integral over [a,b] of rho(u)' rho(u) du, entrywise (k,l)."""
         g = np.zeros((self.dim, self.dim))
-        for i, length in self.overlaps(a, b):
-            g += length * (self.invs[i].T @ self.invs[i])
+        for i, lo, hi in self.overlaps(a, b):
+            g += (hi - lo) * (self.invs[i].T @ self.invs[i])
         return g
 
     def union_times(self, grid: TimeGrid) -> np.ndarray:
@@ -150,9 +152,10 @@ class AssetPaths:
 
     ``w`` holds the Brownian vector at every union time (exercise dates plus
     vol breakpoints); ``s`` holds asset values at exercise dates only.
-    ``y`` (optional) holds the accumulated integrals Y_ij = int sigma_ij dW^j
-    at exercise dates; it is None unless the simulation was asked to store it.
-    Immutable after construction and safe to share across workers.
+    ``y`` is always None: the benchmark's outside-in tracer still reads it
+    when it sizes the paths, so the field stays until that tracer reads the
+    package's own trace.  Immutable after construction and safe to share
+    across workers.
     """
 
     vol: TriangularVol
@@ -160,10 +163,9 @@ class AssetPaths:
     s0: np.ndarray
     rate: float
     union: np.ndarray
-    exercise_idx: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    y: np.ndarray | None = None
+    y: None = None
 
     @property
     def n_paths(self) -> int:
@@ -173,19 +175,16 @@ class AssetPaths:
     def dim(self) -> int:
         return self.w.shape[2]
 
+    def w_at(self, t: float) -> np.ndarray:
+        """Brownian vector at a stored union time t, shape (n_paths, d); ValueError otherwise."""
+        m = int(np.searchsorted(self.union, t))
+        if m == len(self.union) or self.union[m] != t:
+            raise ValueError(f"no Brownian value stored at t={t}")
+        return self.w[:, m, :]
+
     def w_at_date(self, k: int) -> np.ndarray:
         """Brownian vector at exercise date t_k, shape (n_paths, d)."""
-        return self.w[:, self.exercise_idx[k], :]
-
-    def dw_between(self, a: float, b: float) -> list[tuple[int, np.ndarray]]:
-        """Per union interval inside [a, b]: (vol interval index, Brownian increment)."""
-        out = []
-        for m in range(len(self.union) - 1):
-            lo, hi = float(self.union[m]), float(self.union[m + 1])
-            if lo >= a - 1e-15 and hi <= b + 1e-15:
-                (vidx, _), = self.vol.overlaps(lo, hi)
-                out.append((vidx, self.w[:, m + 1, :] - self.w[:, m, :]))
-        return out
+        return self.w_at(self.grid.dates[k])
 
 
 def initial_assets(s0, dim: int) -> np.ndarray:
@@ -203,9 +202,8 @@ def simulate_paths(
     r: float,
     n_paths: int,
     seed: int,
-    store_y: bool = False,
 ) -> AssetPaths:
-    """Simulate asset paths with exact per-interval log-space increments.
+    """Simulate W and S with exact log-space increments over each union step.
 
     Parameters
     ----------
@@ -214,8 +212,9 @@ def simulate_paths(
     r : risk-neutral drift rate.
     n_paths, seed : sample size and master seed.  The output is a pure
         function of (seed, parameters).
-    store_y : store the Y integrals in ``AssetPaths.y`` (d x d floats per path and
-        exercise date).  The pricer does not read them, so the default is off.
+
+    W is kept at every union time, so an integral of piecewise-constant rho
+    against W is one W difference per vol piece (``AssetPaths.w_at``).
     """
     d = vol.dim
     s0 = initial_assets(s0, d)
@@ -224,52 +223,35 @@ def simulate_paths(
 
     union = vol.union_times(grid)
     n_union = len(union) - 1
-    ex_idx = np.searchsorted(union, grid.dates)
-
-    n_ex = grid.n_steps + 1
     w = np.empty((n_paths, n_union + 1, d))
-    s = np.empty((n_paths, n_ex, d))
-    y = np.empty((n_paths, n_ex, d, d)) if store_y else None
+    s = np.empty((n_paths, grid.n_steps + 1, d))
 
-    # Per union interval: vol matrix index, dt, and the log-drift vector.
+    # Per union interval: dt, vol matrix, and the log-drift vector.
     seg = []
     for m in range(n_union):
-        (vidx, _), = vol.overlaps(float(union[m]), float(union[m + 1]))
+        (vidx, _, _), = vol.overlaps(float(union[m]), float(union[m + 1]))
         dt = float(union[m + 1] - union[m])
         sig = vol.mats[vidx]
         drift = (r - 0.5 * np.sum(sig * sig, axis=1)) * dt
         seg.append((dt, sig, drift))
 
-    ex_pos = {int(idx): k for k, idx in enumerate(ex_idx)}
+    ex_pos = {int(idx): k for k, idx in enumerate(np.searchsorted(union, grid.dates))}
     log_s0 = np.log(s0)
 
-    def fill_block(lo: int, hi: int, block_id: int) -> None:
+    for block_id, (lo, hi) in enumerate(block_bounds(n_paths)):
         nb = hi - lo
         wb = np.zeros((nb, d))
         log_sb = np.tile(log_s0, (nb, 1))
-        yb = np.zeros((nb, d, d)) if store_y else None
         w[lo:hi, 0, :] = 0.0
         s[lo:hi, 0, :] = s0
-        if store_y:
-            y[lo:hi, 0, :, :] = 0.0
         for m, (dt, sig, drift) in enumerate(seg):
             z = stream_normals(seed, m, block_id, (nb, d))
             dw = np.sqrt(dt) * z
             wb += dw
             log_sb += drift + dw @ sig.T
-            if store_y:
-                yb += sig[None, :, :] * dw[:, None, :]
             w[lo:hi, m + 1, :] = wb
             k = ex_pos.get(m + 1)
             if k is not None:
                 s[lo:hi, k, :] = np.exp(log_sb)
-                if store_y:
-                    y[lo:hi, k, :, :] = yb
 
-    for b, (lo, hi) in enumerate(block_bounds(n_paths)):
-        fill_block(lo, hi, b)
-
-    return AssetPaths(
-        vol=vol, grid=grid, s0=s0, rate=float(r),
-        union=union, exercise_idx=ex_idx, w=w, s=s, y=y,
-    )
+    return AssetPaths(vol=vol, grid=grid, s0=s0, rate=float(r), union=union, w=w, s=s)

@@ -654,9 +654,9 @@ def price_mcm(
     ``maturity``, P1 on vol that is not constant diagonal
     (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and
     positive, a non-finite ``r``, an ``n_steps``, ``n_paths``,
-    ``replications`` or ``n_workers`` that is not an integer (a bool is not),
-    and ``replications``, ``n_workers`` or ``n_paths`` below 1 raise before
-    any path or worker starts.
+    ``replications``, ``n_workers`` or ``seed`` that is not an integer (a
+    bool is not), and ``replications``, ``n_workers`` or ``n_paths`` below 1
+    raise before any path or worker starts.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -664,7 +664,8 @@ def price_mcm(
         raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
     if not -math.inf < r < math.inf:
         raise ValueError(f"r must be finite, got {r}")
-    counts = {"n_steps": n_steps, "n_paths": n_paths, "replications": replications, "n_workers": n_workers}
+    counts = {"n_steps": n_steps, "n_paths": n_paths, "replications": replications,
+              "n_workers": n_workers, "seed": seed}
     not_int = [f"{name}={value!r}" for name, value in counts.items()
                if isinstance(value, bool) or not isinstance(value, (int, np.integer))]
     if not_int:

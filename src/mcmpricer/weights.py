@@ -40,14 +40,15 @@ def _date_pair(paths: AssetPaths, s_index: int, t_index: int) -> tuple[float, fl
 def compute_pi(paths: AssetPaths, s_index: int, t_index: int) -> np.ndarray:
     """Per-path pi vector for the date pair (t_s, t_t), shape (n_paths, d).
 
-    The stochastic integrals are exact sums rho_jk * dW^j over the constant
-    vol intervals.
+    rho is constant on each vol piece, so each stochastic integral is exact:
+    the W difference across a piece of (0, s) or (s, t) times that piece's
+    rho, one term per piece.
     """
     s, t = _date_pair(paths, s_index, t_index)
     near, far = np.zeros((2, paths.n_paths, paths.dim))
     for acc, a, b in ((near, 0.0, s), (far, s, t)):
-        for vidx, dw in paths.dw_between(a, b):
-            acc += dw @ paths.vol.invs[vidx]
+        for vidx, lo, hi in paths.vol.overlaps(a, b):
+            acc += (paths.w_at(hi) - paths.w_at(lo)) @ paths.vol.invs[vidx]
     return 1.0 + near / s - far / (t - s)
 
 

@@ -21,6 +21,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(maturity, n)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_rejects_non_integer_steps(self, n):
+        with pytest.raises(TypeError, match="n_steps must be an integer"):
+            TimeGrid(1.0, n)
+
+    def test_numpy_integer_steps(self):
+        assert len(TimeGrid(1.0, np.int64(4)).dates) == 5
+
 
 class TestBuildVol:
     def test_scalar_inverse(self):
@@ -53,7 +61,7 @@ class TestBuildVol:
     def test_piecewise_overlaps(self):
         spec = {"breaks": [0.0, 0.5, 1.0], "matrices": [[[0.2]], [[0.3]]]}
         vol = build_vol(1, spec)
-        assert vol.overlaps(0.25, 0.75) == [(0, 0.25), (1, 0.25)]
+        assert vol.overlaps(0.25, 0.75) == [(0, 0.25, 0.5), (1, 0.5, 0.75)]
         with pytest.raises(ValueError):
             vol.overlaps(0.0, 1.5)
 
@@ -110,22 +118,15 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_paths(vol, TimeGrid(1.0, 2), -5.0, 0.0, 16, seed=1)
 
-    def test_y_integrals_accumulate_sigma_dw(self):
-        # for piecewise-diagonal vol, Y_kk at T equals sum sigma_k[m] dW_k[m]
-        spec = {"breaks": [0.0, 0.5, 1.0], "matrices": [np.diag([0.2, 0.3]).tolist(), np.diag([0.4, 0.1]).tolist()]}
-        vol = build_vol(2, spec)
-        paths = simulate_paths(vol, TimeGrid(1.0, 2), 100.0, 0.0, 512, seed=4, store_y=True)
-        dw1 = paths.w[:, 1, :] - paths.w[:, 0, :]
-        dw2 = paths.w[:, 2, :] - paths.w[:, 1, :]
-        expected = np.array([0.2, 0.3]) * dw1 + np.array([0.4, 0.1]) * dw2
-        np.testing.assert_allclose(paths.y[:, -1, [0, 1], [0, 1]], expected, atol=1e-12)
-
-    def test_y_stored_only_on_request(self, tri_vol_2d):
-        args = (tri_vol_2d, TimeGrid(1.0, 3), 100.0, BENCH_RATE, 1000, 6)
-        lean, full = simulate_paths(*args), simulate_paths(*args, store_y=True)
-        assert lean.y is None and full.y is not None
-        assert lean.w.tobytes() == full.w.tobytes()
-        assert lean.s.tobytes() == full.s.tobytes()
+    def test_w_at_reads_stored_times_only(self):
+        spec = {"breaks": [0.0, 0.3, 1.0], "matrices": [[[0.2]], [[0.3]]]}
+        paths = simulate_paths(build_vol(1, spec), TimeGrid(1.0, 10), 100.0, 0.0, 8, seed=5)
+        assert paths.w_at(0.3).tobytes() == paths.w[:, 3, :].tobytes()
+        assert paths.w_at_date(3).tobytes() == paths.w[:, 4, :].tobytes()
+        for t in (0.25, 0.3 + 1e-9, 1.5, -0.1):
+            with pytest.raises(ValueError, match="no Brownian value stored"):
+                paths.w_at(t)
+        assert paths.y is None
 
 
 class TestRngStreams:

@@ -808,6 +808,12 @@ class TestReplicationPool:
         (0.2, {"n_steps": True}, TypeError, r"counts must be integers, got n_steps=True"),
         (0.2, {"n_workers": True}, TypeError, r"counts must be integers, got n_workers=True"),
         (0.2, {"method": "LS", "n_paths": 64.0}, TypeError, r"counts must be integers, got n_paths=64.0"),
+        (0.2, {"seed": 1.9}, TypeError, r"counts must be integers, got seed=1.9"),
+        (0.2, {"seed": True}, TypeError, r"counts must be integers, got seed=True"),
+        (0.2, {"seed": "7"}, TypeError, r"counts must be integers, got seed='7'"),
+        (0.2, {"seed": np.nan}, TypeError, r"counts must be integers, got seed=nan"),
+        (0.2, {"seed": None}, TypeError, r"counts must be integers, got seed=None"),
+        (0.2, {"method": "LS", "seed": 1.0}, TypeError, r"counts must be integers, got seed=1.0"),
     ])
     def test_bad_estimator_or_vol_raises_before_any_work(self, vol_spec, kwargs, error, match, monkeypatch):
         def started(*args, **kwargs):

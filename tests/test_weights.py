@@ -28,7 +28,7 @@ def _handmade_paths_1d(w_s, w_t):
     s = np.full((1, 3, 1), 100.0)
     return AssetPaths(
         vol=vol, grid=grid, s0=np.array([100.0]), rate=0.0,
-        union=grid.dates, exercise_idx=np.array([0, 1, 2]), w=w, s=s,
+        union=grid.dates, w=w, s=s,
     )
 
 
@@ -61,6 +61,21 @@ class TestPi:
         w_st = (t - s) * (ws + sig * s) - s * (wt - ws)
         expected = w_st / (sig * s * (t - s))
         np.testing.assert_allclose(compute_pi(paths, 1, 2), expected, atol=1e-12)
+
+    def test_piecewise_vol_pi_reads_one_difference_per_piece(self):
+        # a break at 0.3 sits one ulp below t_3 = 0.30000000000000004, so the
+        # sub-ulp union step [0.3, t_3] belongs to the near integral only
+        spec = {"breaks": [0.0, 0.3, 1.0],
+                "matrices": [[[0.2, 0.0], [0.1, 0.25]], [[0.3, 0.0], [-0.05, 0.15]]]}
+        vol = build_vol(2, spec)
+        paths = simulate_paths(vol, TimeGrid(1.0, 10), 100.0, 0.0, 512, seed=17)
+        s, t = paths.grid.dates[3], paths.grid.dates[4]
+        assert paths.union[3] == 0.3 < paths.union[4] == s and paths.union[5] == t
+        w = paths.w
+        near = w[:, 3] @ vol.invs[0] + (w[:, 4] - w[:, 3]) @ vol.invs[1]
+        far = (w[:, 5] - w[:, 4]) @ vol.invs[1]
+        expected = 1.0 + near / s - far / (t - s)
+        np.testing.assert_allclose(compute_pi(paths, 3, 4), expected, rtol=0.0, atol=1e-12)
 
 
 class TestPiCovariance:
