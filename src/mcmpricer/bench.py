@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, McmPricerError, NonDeterministicResultError, NotDiagonalError
 from .market_model import build_vol
 from .pricer import CALIBRATIONS, METHODS, Payoff, price_mcm
+from .rng import SEED_LIMIT
 
 ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
@@ -76,6 +77,8 @@ class RunConfig:
         for name in ("dim", "n_steps", "replications", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed", "must be in [0, 2**64)")
         if not 0 <= self.log2_paths <= 26:
             raise ConfigError("log2_paths", "must be in [0, 26]")
         if self.rate < 0:

@@ -23,7 +23,10 @@ only in the kernel K_x, so one engine serves both: a per-date kernel
 (``_DateKernel``) feeds one pilot and one main sum through its sums engine.
 The exp kernel, and the raw kernel at d >= 3, build K in cache-sized tiles;
 the raw indicator kernel at d <= 2 takes exact dominance sums instead, one
-rank-space routine for both dimensions, without building K.
+rank-space routine for both dimensions, without building K.  The pilot's
+sums of K @ [cashflow * weight, weight] over its samples are kept: on the
+tile engine, the main sums of the pilot's queries take them for every
+sample count that covers the pilot's samples, and build K only past them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 
 import numpy as np
@@ -53,7 +56,7 @@ from .kernels import (
 )
 from .market_model import AssetPaths, TimeGrid, build_vol, initial_assets, simulate_paths
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
-from .rng import replication_seed
+from .rng import SEED_LIMIT, replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
 
 METHODS = ("P1", "P2eq", "P2opt", "LS")
@@ -340,8 +343,8 @@ def _dominance_sums(
     return sums[:, : rhs.shape[1]], sums[:, rhs.shape[1]:]
 
 
-def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientPlan:
-    """Pooled sample-split plan for one exercise date (P2opt only).
+def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> tuple[QuotientPlan, tuple]:
+    """Pooled sample-split plan for one exercise date (P2opt only), and the pilot's sums.
 
     The pilot takes the first PILOT_QUERIES queries against the first
     PILOT_SAMPLES samples, with X = cf * w * K and Y = w * K (w the
@@ -352,6 +355,10 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
     and Y, and kernel products can sit at 1e-30 in high dimension, far below
     any absolute floor.  The rescaling acts on the per-query moments, so the
     pilot rows are never copied.
+
+    Returns the plan and the pilot (m, sums): the pilot's sample count and
+    its unscaled sums of K @ [cf * w, w] over samples 0..m-1, one row per
+    pilot query, which ``_kernel_sums`` reuses for the main sums.
     """
     n = len(cf)
     nq = min(PILOT_QUERIES, kern.n_queries)
@@ -360,6 +367,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
     cfw = cf[:m] * w
     first, second = kern.sums(nq, m, np.stack([cfw, w, np.abs(w)], axis=1) / m,
                               np.stack([cfw * w, w * w, cfw * cfw], axis=1) / m)
+    pilot = (m, first[:, :2] * m)
     closed = calibration == "closed"
     scale = kern.closed_b[:nq] if closed else first[:, 2]
     good = scale > 0.0
@@ -380,7 +388,7 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
         s2 = unit(kern.closed_s2[:nq])
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
-        return plan
+        return plan, pilot
 
     def replan(plan):
         # re-estimate the split-dependent mean on the first lambda * m samples
@@ -394,22 +402,43 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> QuotientP
             b = mean
         return pooled_plan(a, b, s1, s2, rho, n)
 
-    return m2_fixed_point(plan, replan)
+    return m2_fixed_point(plan, replan), pilot
 
 
 def _kernel_sums(
-    kern: _DateKernel, cf: np.ndarray, n_num: int, n_den: int
+    kern: _DateKernel, cf: np.ndarray, n_num: int, n_den: int, pilot: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator means of every query of one date.
 
     The numerator averages cf * weight * K over the first n_num samples, the
-    denominator weight * K over the first n_den.
+    denominator weight * K over the first n_den.  ``pilot`` is the (m, sums)
+    of ``_date_plan``.  On the tile engine, the pilot's queries take each
+    column whose cut (n_num, n_den) is at least m from the pilot's sums over
+    samples 0..m-1, and K is built for them only on the samples the pilot
+    did not cover: m..cut-1 for such a column, 0..cut-1 for the other.  The
+    other queries, and the dominance engine, whose cost does not grow with
+    the entries it skips, take one call over both cuts as without a pilot.
     """
-    m = max(n_num, n_den)
-    rhs = np.zeros((m, 2))
+    top = max(n_num, n_den)
+    rhs = np.zeros((top, 2))
     rhs[:n_num, 0] = (cf[:n_num] * kern.weight[:n_num]) / n_num
     rhs[:n_den, 1] = kern.weight[:n_den] / n_den
-    sums, _ = kern.sums(kern.n_queries, m, rhs)
+    if pilot is None or kern.engine is not _tile_sums:
+        sums, _ = kern.sums(kern.n_queries, top, rhs)
+        return sums[:, 0], sums[:, 1]
+    m, covered = pilot
+    nq = len(covered)
+    cuts = np.array([n_num, n_den])
+    reuse = cuts >= m
+    head = rhs.copy()
+    head[:m, reuse] = 0.0
+    sums = np.empty((kern.n_queries, 2))
+    # the support rule drops the zeroed rows: the pilot samples of the reused columns
+    sums[:nq] = kern.sums(nq, top, head)[0]
+    sums[:nq, reuse] += covered[:, reuse] / cuts[reuse]
+    if kern.n_queries > nq:
+        rest = replace(kern, queries=kern.queries[nq:])
+        sums[nq:] = rest.sums(kern.n_queries - nq, top, rhs)[0]
     return sums[:, 0], sums[:, 1]
 
 
@@ -446,10 +475,11 @@ def _mcm_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray
     else:
         kern = _raw_kernel(paths, k, x_itm, method)
     n_num = n_den = paths.n_paths
+    pilot = None
     if method == "P2opt":
-        plan = _date_plan(kern, cf, calibration)
+        plan, pilot = _date_plan(kern, cf, calibration)
         n_num, n_den = plan.n_prime, plan.n
-    num, den = _kernel_sums(kern, cf, n_num, n_den)
+    num, den = _kernel_sums(kern, cf, n_num, n_den, pilot)
     if method == "P1":
         den = kern.closed_b
     bad = ~(den > kern.floor)
@@ -499,18 +529,28 @@ def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
     return sweep(paths, payoff)
 
 
+# The directory that holds the package: the forkserver imports the package from it
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 @contextmanager
-def _worker_blas_threads():
-    """Set the BLAS thread variables to 1, then restore them.
+def _worker_environment():
+    """Set the BLAS thread variables to 1 and put PACKAGE_ROOT first on PYTHONPATH, then restore them.
 
     BLAS libraries read these variables when they load, so the workers
     started inside the block run one BLAS thread each, and this process
     keeps the threads it loaded with.  A forkserver reads them once, when the
     first pool starts it; one BLAS thread also leaves it single-threaded, so
-    it forks without CPython's warning on forking a threaded process.
+    it forks without CPython's warning on forking a threaded process.  The
+    server gets the caller's ``sys.path`` only through PYTHONPATH:
+    CPython's forkserver does not apply the path it is handed before its
+    preloads.  With PACKAGE_ROOT first it imports this package even when
+    the caller found it by a ``sys.path`` entry alone.
     """
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    names = (*BLAS_THREAD_VARS, "PYTHONPATH")
+    saved = {name: os.environ.get(name) for name in names}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, saved["PYTHONPATH"])))
     try:
         yield
     finally:
@@ -523,18 +563,20 @@ def _worker_blas_threads():
 
 @cache
 def _forkserver_context():
-    """The forkserver context with numpy preloaded, made on the first parallel call.
+    """The forkserver context with its workers' imports preloaded, made on the first parallel call.
 
-    The first pool starts the server, which imports numpy once; every worker
-    of every later call is a fork of it.  The exit hook registered here is
-    the stdlib's own stop: it closes the server's "alive" pipe and waits for
-    the server to exit, so the server does not outlive the caller.  Each
-    worker holds that pipe too, so the server can exit only because every
-    pool is shut down before its call returns.
+    The first pool starts the server inside ``_worker_environment``, and the
+    server imports numpy, the pool's worker module and this package once;
+    every worker of every later call is a fork of it and starts with them
+    imported.  The exit hook registered here is the stdlib's own stop: it
+    closes the server's "alive" pipe and waits for the server to exit, so
+    the server does not outlive the caller.  Each worker holds that pipe
+    too, so the server can exit only because every pool is shut down before
+    its call returns.
     """
     from multiprocessing import forkserver, get_context
 
-    forkserver.set_forkserver_preload(["numpy"])
+    forkserver.set_forkserver_preload(["numpy", "concurrent.futures.process", __package__])
     atexit.register(forkserver._forkserver._stop)
     return get_context("forkserver")
 
@@ -583,11 +625,12 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
     min(n_workers, replications) - 1 workers, and the caller and the workers
     claim replication indices from one shared counter until none is left,
     so the caller prices while its workers start up.  On Linux the workers
-    are forks of a forkserver that has already imported numpy
-    (``_forkserver_context``); elsewhere they are spawned.  The pool is shut
-    down before the call returns.  The values are a pure function of
-    ``job``, independent of n_workers and of the start method.  The caller
-    keeps BLAS threading as installed; each worker runs one BLAS thread.
+    are forks of a forkserver that has already imported numpy, the pool's
+    worker module and this package (``_forkserver_context``); elsewhere
+    they are spawned.  The pool is shut down before the call returns.  The
+    values are a pure function of ``job``, independent of n_workers and of
+    the start method.  The caller keeps BLAS threading as installed; each
+    worker runs one BLAS thread.
     """
     t0 = time.perf_counter()
     n_pool = min(n_workers, replications) - 1
@@ -601,7 +644,7 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
         # the start method CPython 3.14 defaults to: forkserver on Linux, spawn elsewhere
         ctx = _forkserver_context() if sys.platform.startswith("linux") else get_context("spawn")
         counter = ctx.Value("q", 0)
-        with _worker_blas_threads(), ProcessPoolExecutor(
+        with _worker_environment(), ProcessPoolExecutor(
             max_workers=n_pool, mp_context=ctx, initializer=_install_counter, initargs=(counter,)
         ) as pool:
             futures = [pool.submit(_drain, job, replications) for _ in range(n_pool)]
@@ -655,8 +698,9 @@ def price_mcm(
     (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and
     positive, a non-finite ``r``, an ``n_steps``, ``n_paths``,
     ``replications``, ``n_workers`` or ``seed`` that is not an integer (a
-    bool is not), and ``replications``, ``n_workers`` or ``n_paths`` below 1
-    raise before any path or worker starts.
+    bool is not), ``replications``, ``n_workers`` or ``n_paths`` below 1,
+    and a ``seed`` outside [0, 2**64) raise before any path or worker
+    starts.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -673,6 +717,8 @@ def price_mcm(
     if replications < 1 or n_workers < 1 or n_paths < 1:
         raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
                          f"got {replications}, {n_workers} and {n_paths}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     vol = build_vol(payoff.dim, vol_spec)
     grid = TimeGrid(maturity, n_steps)
     initial_assets(s0, vol.dim)

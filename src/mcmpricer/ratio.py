@@ -43,10 +43,6 @@ class QuotientStats:
         rho = np.nan_to_num(self.rho, nan=0.0, posinf=0.0, neginf=0.0)
         object.__setattr__(self, "rho", np.clip(rho, -1.0, 1.0))
 
-    def __getitem__(self, keep) -> QuotientStats:
-        """The queries of a per-query QuotientStats selected by ``keep``."""
-        return QuotientStats(*(getattr(self, f.name)[keep] for f in fields(self)))
-
     @property
     def eps_b(self) -> float:
         return 1e-10 * (1.0 + abs(self.a))
@@ -176,11 +172,14 @@ def pooled_plan(
     lambda = 1.
     """
     stats = QuotientStats(*(np.asarray(v, dtype=float) for v in (a, b, sigma1, sigma2, rho)))
-    stats = stats[(np.abs(stats.b) > stats.eps_b) & (stats.sigma1 > 0.0) & (stats.sigma2 > 0.0)]
-    if stats.a.size == 0:
+    keep = (np.abs(stats.b) > stats.eps_b) & (stats.sigma1 > 0.0) & (stats.sigma2 > 0.0)
+    n_keep = np.count_nonzero(keep)
+    if n_keep == 0:
         return QuotientPlan("case1", 1.0, 0.0, n_max, n_max)
     votes = prefers_case1(stats)
-    case1 = np.count_nonzero(votes) * 2 >= votes.size
-    voters = stats[votes == case1]
-    med = QuotientStats(*(float(np.median(getattr(voters, f.name))) for f in fields(voters)))
-    return _resolve(med, case1, float(np.median(lambda_min(voters, case1))), n_max)
+    case1 = np.count_nonzero(votes & keep) * 2 >= n_keep
+    # elementwise over every query: a voter's entry is the lambda of its own moments
+    lam = lambda_min(stats, case1)
+    cols = np.stack([getattr(stats, f.name) for f in fields(stats)] + [lam])
+    med = np.median(cols[:, keep & (votes == case1)], axis=1)
+    return _resolve(QuotientStats(*(float(v) for v in med[:-1])), case1, float(med[-1]), n_max)

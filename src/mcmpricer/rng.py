@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_PATHS = 4096
+# Seeds are 64-bit: 0 <= seed < SEED_LIMIT
+SEED_LIMIT = 1 << 64
 
-_MASK64 = (1 << 64) - 1
+_MASK64 = SEED_LIMIT - 1
 
 
 def splitmix64(x: int) -> int:

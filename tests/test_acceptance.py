@@ -84,6 +84,7 @@ def test_criterion_2_conditional_expectation_oracle():
     _report(2, "conditional-expectation oracle", ok, "; ".join(details) + f", {elapsed:.1f}s (< 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_table1_reproduction():
     t0 = time.perf_counter()
     details = []
@@ -105,6 +106,7 @@ def test_criterion_3_table1_reproduction():
     _report(3, "Table 1 reproduction", ok, "; ".join(details) + f"; total {elapsed:.0f}s (< 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_4_table2_reproduction():
     details = []
     ok = True
@@ -184,6 +186,7 @@ def test_criterion_5_variance_reduction_orderings():
     _report(5, "variance-reduction orderings", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_6_split_theory_numerics():
     ok = True
     details = []
@@ -263,6 +266,7 @@ def test_criterion_7_tree_oracle_self_check():
     _report(7, "tree oracle self-check", ok, "; ".join(details) + "; doubling moves < 5e-3")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism_and_scaling():
     config = RunConfig(payoff="geometric_put", dim=5, n_steps=10, log2_paths=14,
                        replications=4, seed=SEED)

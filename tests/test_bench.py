@@ -58,6 +58,17 @@ class TestRunConfig:
             RunConfig(**{field: value}).validate()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("seed,ok", [(-1, False), (2**64, False), (2**64 + 5, False),
+                                         (0, True), (2**64 - 1, True)])
+    def test_seed_outside_64_bits_is_config_error(self, seed, ok):
+        # rng reduces seeds modulo 2^64: -1 would alias 2^64 - 1, and 2^64 + 5 alias 5
+        if ok:
+            assert RunConfig(seed=seed).validate().seed == seed
+            return
+        with pytest.raises(ConfigError) as err:
+            RunConfig(seed=seed).validate()
+        assert err.value.field == "seed"
+
     def test_from_json_unknown_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dimension": 2}))

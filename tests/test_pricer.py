@@ -218,7 +218,7 @@ class TestEngine:
             else:
                 kern = pricer._raw_kernel(paths, k, x, "P2opt")
             calls.clear()
-            plan = pricer._date_plan(kern, cf, calibration)
+            plan, _ = pricer._date_plan(kern, cf, calibration)
             ref_calls, ref_plan = _normalised_matrix_pilot(kern, cf, calibration)
             assert (plan.regime, plan.n, plan.n_prime) == (ref_plan.regime, ref_plan.n, ref_plan.n_prime)
             assert len(calls) == len(ref_calls)
@@ -267,9 +267,9 @@ class TestEngine:
         kern = pricer._conditioned_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt", "M2")
         cf = payoff(paths.s[:, -1, :])
         monkeypatch.setattr(ratio, "M2_EPS", 0.0)
-        assert not pricer._date_plan(kern, cf, "M2").converged
+        assert not pricer._date_plan(kern, cf, "M2")[0].converged
         monkeypatch.setattr(ratio, "M2_EPS", 1.0)
-        assert pricer._date_plan(kern, cf, "M2").converged
+        assert pricer._date_plan(kern, cf, "M2")[0].converged
 
     def test_layer_functions_are_looked_up_in_the_pricer(self, tri_vol_2d, monkeypatch):
         # an outside tracer swaps exactly these names in mcmpricer.pricer
@@ -484,6 +484,135 @@ class TestKernelSupport:
                     assert np.array_equal(got, want)
 
 
+def _reuse_date(dim, seed):
+    """Paths, payoff, date, in-the-money queries and cash flows of one date at 2^12 paths."""
+    paths = simulate_paths(build_vol(dim, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=seed)
+    payoff = Payoff("geometric_put", dim, 100.0)
+    k = 2
+    itm = np.flatnonzero(payoff(paths.s[:, k, :]) > 0.0)
+    # a put never exercised pays nothing on the paths that end out of the money
+    cf = np.exp(-BENCH_RATE) * payoff(paths.s[:, -1, :])
+    assert 0 < np.count_nonzero(cf) < len(cf)
+    return paths, payoff, k, itm, cf
+
+
+def _forced_plan(n, n_prime):
+    """A pooled_plan that returns fixed cuts: n for the denominator, n_prime for the numerator."""
+    return lambda *args: ratio.QuotientPlan("case1" if n >= n_prime else "case2", 0.5, 0.0, n, n_prime)
+
+
+class TestPilotReuse:
+    """P2opt's main sums take the pilot's sums over the pilot samples for the pilot queries."""
+
+    @pytest.fixture(autouse=True)
+    def small_pilot(self, monkeypatch):
+        # 3 x 700 tiles, a 42-query pilot (whole query tiles) over 1500 of the 4096 samples
+        monkeypatch.setattr(pricer, "QUERY_TILE", 3)
+        monkeypatch.setattr(pricer, "SAMPLE_TILE", 700)
+        monkeypatch.setattr(pricer, "PILOT_QUERIES", 42)
+        monkeypatch.setattr(pricer, "PILOT_SAMPLES", 1500)
+
+    @pytest.mark.parametrize("dim,conditioning,calibrations", [
+        (2, True, ("closed", "M1", "M2")),     # the exp kernel
+        (3, False, ("M1", "M2")),              # the raw kernel on tiles: signed weights
+    ])
+    @pytest.mark.parametrize("cuts,pilot_queries,pilot_samples", [
+        (None, 42, 1500),               # the pilot's own plan
+        ((4096, 2500), 42, 1500),       # both cuts past the pilot samples
+        ((4096, 1200), 42, 1500),       # case 1: the numerator cut below them
+        ((900, 4096), 42, 1500),        # case 2: the denominator cut below them
+        ((1400, 1000), 42, 1500),       # both below: nothing to reuse
+        ((4096, 1500), 42, 1500),       # a cut at the pilot's edge
+        ((4096, 3000), 10**6, 1500),    # every query is a pilot query
+        ((3000, 4096), 42, 10**6),      # the pilot takes every sample
+    ])
+    def test_main_sums_match_the_dense_prefix_loop(self, dim, conditioning, calibrations, cuts,
+                                                    pilot_queries, pilot_samples, monkeypatch):
+        monkeypatch.setattr(pricer, "PILOT_QUERIES", pilot_queries)
+        monkeypatch.setattr(pricer, "PILOT_SAMPLES", pilot_samples)
+        if cuts is not None:
+            monkeypatch.setattr(pricer, "pooled_plan", _forced_plan(*cuts))
+        calls = []
+        real = pricer._kernel_sums
+
+        def recording(kern, cf, n_num, n_den, pilot=None):
+            out = real(kern, cf, n_num, n_den, pilot)
+            calls.append((kern, n_num, n_den, pilot, out))
+            return out
+
+        monkeypatch.setattr(pricer, "_kernel_sums", recording)
+        paths, payoff, k, itm, cf = _reuse_date(dim, seed=93 + dim)
+        assert len(itm) > 42
+        for calibration in calibrations:
+            calls.clear()
+            _mcm_continuation(paths, payoff, k, itm, cf, method="P2opt", conditioning=conditioning,
+                              calibration=calibration)
+            (kern, n_num, n_den, pilot, (num, den)), = calls
+            assert kern.engine is pricer._tile_sums and pilot is not None
+            if cuts is not None:
+                assert (n_den, n_num) == cuts
+            want_num, want_den = _full_range_kernel_sums(kern, cf, n_num, n_den)
+            np.testing.assert_allclose(num, want_num, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(den, want_den, rtol=1e-12, atol=0.0)
+            # the queries past the pilot's take the call made without a pilot
+            nq = len(pilot[1])
+            for got, plain in zip((num, den), real(kern, cf, n_num, n_den)):
+                assert np.array_equal(got[nq:], plain[nq:])
+                if max(n_num, n_den) < pilot[0]:
+                    assert np.array_equal(got, plain)
+
+    @pytest.mark.parametrize("dim,conditioning,calibration", [
+        (2, True, "closed"), (2, True, "M1"), (3, False, "M1")])
+    def test_no_pilot_entry_is_built_twice(self, dim, conditioning, calibration, monkeypatch):
+        # both cuts at or past the pilot's 1500 samples
+        monkeypatch.setattr(pricer, "pooled_plan", _forced_plan(4096, 2500))
+        counts = []
+        make = "_conditioned_kernel" if conditioning else "_raw_kernel"
+        real = getattr(pricer, make)
+
+        def counted(*args):
+            kern = real(*args)
+            # every query row and sample column is distinct: look them up by value
+            query_index = {row.tobytes(): i for i, row in enumerate(kern.queries)}
+            sample_index = {col.tobytes(): p for p, col in enumerate(np.ascontiguousarray(kern.samples.T))}
+            built = np.zeros((kern.n_queries, kern.samples.shape[1]), dtype=int)
+            counts.append(built)
+
+            def build(queries, samples, out):
+                qi = [query_index[row.tobytes()] for row in queries]
+                pi = [sample_index[col.tobytes()] for col in np.ascontiguousarray(samples.T)]
+                built[np.ix_(qi, pi)] += 1
+                return kern.build(queries, samples, out)
+
+            return replace(kern, build=build)
+
+        monkeypatch.setattr(pricer, make, counted)
+        paths, payoff, k, itm, cf = _reuse_date(dim, seed=93 + dim)
+        _mcm_continuation(paths, payoff, k, itm, cf, method="P2opt", conditioning=conditioning,
+                          calibration=calibration)
+        built, = counts
+        # the pilot built each of its entries once, and the main sums none of them again
+        assert np.all(built[:42, :1500] == 1)
+        assert built.max() == 1
+        # past the pilot: the denominator's 4096 samples for every query
+        assert np.all(built[42:] == 1) and np.all(built[:42, 1500:] == 1)
+
+    def test_dominance_sums_take_one_main_call(self, tri_vol_2d, monkeypatch):
+        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**12, seed=86)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        s_k = paths.s[:, 2, :]
+        kern = pricer._raw_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt")
+        assert kern.engine is pricer._dominance_sums
+        cf = payoff(paths.s[:, -1, :])
+        _, pilot = pricer._date_plan(kern, cf, "M1")
+        calls = []
+        counting = replace(kern, engine=lambda *args: calls.append(args[1:3]) or pricer._dominance_sums(*args))
+        for got, plain in zip(pricer._kernel_sums(counting, cf, 4096, 2500, pilot),
+                              pricer._kernel_sums(kern, cf, 4096, 2500)):
+            assert np.array_equal(got, plain)
+        assert calls == [(kern.n_queries, 4096)]
+
+
 def _assert_within_dominance_tolerance(kern, n_q, m, rhs, got, want):
     """|got - want| <= 1e-14 x the sum of |rhs| over each query's samples, entry by entry.
 
@@ -598,13 +727,23 @@ class TestTooling:
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with pytest.raises(RuntimeError):
-            with pricer._worker_blas_threads():
-                assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == ["1"] * 3
-                raise RuntimeError
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-        assert "MKL_NUM_THREADS" not in os.environ
+        for pythonpath in (None, "", os.pathsep.join(["/a", "/b"])):
+            if pythonpath is None:
+                monkeypatch.delenv("PYTHONPATH", raising=False)
+            else:
+                monkeypatch.setenv("PYTHONPATH", pythonpath)
+            with pytest.raises(RuntimeError):
+                with pricer._worker_environment():
+                    assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == ["1"] * 3
+                    # the package root first, then the caller's entries
+                    assert os.environ["PYTHONPATH"].split(os.pathsep) == (
+                        [pricer.PACKAGE_ROOT] + (pythonpath.split(os.pathsep) if pythonpath else []))
+                    raise RuntimeError
+            assert os.environ["OMP_NUM_THREADS"] == "7"
+            assert "OPENBLAS_NUM_THREADS" not in os.environ
+            assert "MKL_NUM_THREADS" not in os.environ
+            assert os.environ.get("PYTHONPATH") == pythonpath
+        assert Path(pricer.PACKAGE_ROOT, "mcmpricer", "__init__.py").is_file()
 
 
 class TestPriceMcm:
@@ -719,6 +858,31 @@ resource_tracker._resource_tracker._stop()
 """
 
 
+# Serial and parallel calls in an interpreter that finds the package by a
+# sys.path entry alone: no PYTHONPATH, and a working directory outside the
+# source tree.  It prints a JSON record of what the test checks.
+_PRELOAD_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import forkserver, resource_tracker
+from mcmpricer import Payoff, pricer, price_mcm
+
+names = ("PYTHONPATH", *pricer.BLAS_THREAD_VARS)
+before = [os.environ.get(name) for name in names]
+args = (Payoff("geometric_put", 2, 100.0), 0.2, 1.0, 3, 100.0, 0.0, 256, 1)
+serial = price_mcm(*args, replications=4, n_workers=1)
+parallel = price_mcm(*args, replications=4, n_workers=2)
+after = [os.environ.get(name) for name in names]
+# a new worker of the same server runs a builtin: only the server's preload imports the package there
+with ProcessPoolExecutor(1, mp_context=pricer._forkserver_context()) as pool:
+    preloaded = pool.submit(eval, "'mcmpricer.pricer' in __import__('sys').modules").result()
+print(json.dumps({"equal": serial.values == parallel.values, "before": before, "after": after,
+                  "preload": forkserver._forkserver._preload_modules, "preloaded": preloaded}))
+resource_tracker._resource_tracker._stop()
+"""
+
+
 class _CheckedCounter:
     """A claim counter that fails every access to ``value`` made outside its lock."""
 
@@ -814,6 +978,10 @@ class TestReplicationPool:
         (0.2, {"seed": np.nan}, TypeError, r"counts must be integers, got seed=nan"),
         (0.2, {"seed": None}, TypeError, r"counts must be integers, got seed=None"),
         (0.2, {"method": "LS", "seed": 1.0}, TypeError, r"counts must be integers, got seed=1.0"),
+        (0.2, {"seed": -1}, ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
+        (0.2, {"seed": 2**64}, ValueError, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+        (0.2, {"seed": 2**64 + 5}, ValueError, r"seed must be in \[0, 2\*\*64\), got 18446744073709551621"),
+        (0.2, {"method": "LS", "seed": -1}, ValueError, r"seed must be in \[0, 2\*\*64\)"),
     ])
     def test_bad_estimator_or_vol_raises_before_any_work(self, vol_spec, kwargs, error, match, monkeypatch):
         def started(*args, **kwargs):
@@ -826,6 +994,14 @@ class TestReplicationPool:
         with pytest.raises(error, match=match):
             price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, **args)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seeds_at_the_64_bit_bounds_price(self, seed):
+        # the two ends of the seeds that price, each with replications of its own
+        args = (Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, 64)
+        est = price_mcm(*args, seed, replications=2)
+        assert np.all(np.isfinite(est.values))
+        assert est.values != price_mcm(*args, 1, replications=2).values
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
     def test_linux_workers_fork_from_the_server_with_one_blas_thread(self, tmp_path):
@@ -846,6 +1022,21 @@ class TestReplicationPool:
         # no sleep: a server that the caller's exit did not stop and wait for would still be running
         with pytest.raises(ProcessLookupError):
             os.kill(server, 0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    def test_workers_start_with_the_package_found_by_sys_path_alone(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *pricer.BLAS_THREAD_VARS)}
+        env["OMP_NUM_THREADS"] = "3"
+        root = str(Path(mcmpricer.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", _PRELOAD_SCRIPT, root], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        record = json.loads(out.stdout)
+        assert record["equal"]
+        assert "mcmpricer" in record["preload"]
+        assert record["preloaded"]
+        # PYTHONPATH unset, OMP_NUM_THREADS 3 and the other BLAS variables unset, as before the call
+        assert record["before"] == record["after"] == [None, None, "3", None]
 
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)
@@ -891,12 +1082,14 @@ class TestPriceLs:
         tree = tree_american_put(100.0, 1000.0, BENCH_RATE, 0.0, 0.2, 1.0, 2000)
         assert abs(est.price - tree) / tree < 0.01
 
+    @pytest.mark.slow
     def test_agrees_with_mcm_at_scale(self):
         payoff = Payoff("geometric_put", 1, 100.0)
         am = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**14, seed=9, replications=8)
         al = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**14, seed=9, method="LS", replications=8)
         assert abs(am.price - al.price) <= 3.0 * np.hypot(am.std, al.std)
 
+    @pytest.mark.slow
     def test_mcm_more_stable_in_time_steps(self):
         payoff = Payoff("geometric_put", 1, 100.0)
         args = (payoff, 0.2, 1.0)

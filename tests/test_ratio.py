@@ -1,14 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import cycle
 
 import numpy as np
 import pytest
 
-from mcmpricer import QuotientStats, optimal_plan, sigma1_of_lambda, sigma2_of_lambda
+from mcmpricer import QuotientPlan, QuotientStats, optimal_plan, sigma1_of_lambda, sigma2_of_lambda
 from mcmpricer.errors import DenominatorMeanNearZeroError
 from mcmpricer.ratio import (
     M2_EPS,
     M2_MAX_ITER,
+    _resolve,
     lambda_min,
     m2_fixed_point,
     p2_preferred,
@@ -180,6 +181,23 @@ def _m2_replan(stats, n_max, noise, calls=None):
     return replan
 
 
+def _pooled_plan_by_copies(a, b, sigma1, sigma2, rho, n_max):
+    """The pooled plan built from filtered copies of the moments: the oracle of ``pooled_plan``."""
+    stats = QuotientStats(*(np.asarray(v, dtype=float) for v in (a, b, sigma1, sigma2, rho)))
+
+    def select(st, keep):
+        return QuotientStats(*(getattr(st, f)[keep] for f in STATS_FIELDS))
+
+    stats = select(stats, (np.abs(stats.b) > stats.eps_b) & (stats.sigma1 > 0.0) & (stats.sigma2 > 0.0))
+    if stats.a.size == 0:
+        return QuotientPlan("case1", 1.0, 0.0, n_max, n_max)
+    votes = prefers_case1(stats)
+    case1 = np.count_nonzero(votes) * 2 >= votes.size
+    voters = select(stats, votes == case1)
+    med = QuotientStats(*(float(np.median(getattr(voters, f))) for f in STATS_FIELDS))
+    return _resolve(med, case1, float(np.median(lambda_min(voters, case1))), n_max)
+
+
 class TestCalibration:
     def test_m2_fixed_point_converges(self):
         # a mean biased by 1 - lambda contracts to its fixed point in a
@@ -273,6 +291,39 @@ class TestCalibration:
             batch = np.array([[getattr(_random_stats(rng), f) for f in STATS_FIELDS] for _ in range(5)])
             padded = np.concatenate([batch, pad])[rng.permutation(len(batch) + len(pad))]
             assert pooled_plan(*padded.T, n_max) == pooled_plan(*batch.T, n_max)
+
+    def test_pooled_plan_is_bitwise_the_plan_of_filtered_copies(self):
+        rng = np.random.default_rng(73)
+        degenerate = [
+            lambda q: q.update(rho=np.nan),
+            lambda q: q.update(rho=np.inf),
+            lambda q: q.update(rho=-np.inf),
+            lambda q: q.update(b=1e-10 * (1.0 + abs(q["a"]))),     # |B| at the floor
+            lambda q: q.update(b=-0.5e-10),
+            lambda q: q.update(sigma1=0.0),
+            lambda q: q.update(sigma2=0.0),
+        ]
+        cases = []
+        for _ in range(400):
+            n_q = int(rng.integers(1, 40))
+            rows = []
+            for _ in range(n_q):
+                q = {"a": rng.normal(0.0, 2.0), "b": rng.normal(1.0, 1.0), "sigma1": rng.uniform(0.0, 3.0),
+                     "sigma2": rng.uniform(0.0, 3.0), "rho": rng.uniform(-1.2, 1.2)}
+                if rng.random() < 0.3:
+                    degenerate[rng.integers(len(degenerate))](q)
+                rows.append([q[f] for f in STATS_FIELDS])
+            cases.append(np.array(rows).T)
+        # all degenerate, and a tied vote: one case-1 and one case-2 query
+        cases.append(np.array([[1.0, 0.0, 1.0, 1.0, 0.1], [1.0, 1.0, 0.0, 1.0, np.nan]]).T)
+        cases.append(np.array([[2.0, 1.0, 1.0, 1.0, 0.4], [0.5, 1.0, 1.0, 1.0, -0.3]]).T)
+        assert prefers_case1(QuotientStats(*cases[-1][:, 0])) and not prefers_case1(QuotientStats(*cases[-1][:, 1]))
+        for cols in cases:
+            n_max = int(rng.integers(1, 10**6))
+            got, want = pooled_plan(*cols, n_max), _pooled_plan_by_copies(*cols, n_max)
+            assert got == want
+            assert [repr(getattr(got, f.name)) for f in fields(got)] == [
+                repr(getattr(want, f.name)) for f in fields(want)]
 
     def test_pooled_plan_all_degenerate(self):
         z = np.zeros(3)
