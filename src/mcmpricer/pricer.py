@@ -566,9 +566,11 @@ def _forkserver_context():
     """The forkserver context with its workers' imports preloaded, made on the first parallel call.
 
     The first pool starts the server inside ``_worker_environment``, and the
-    server imports numpy, the pool's worker module and this package once;
-    every worker of every later call is a fork of it and starts with them
-    imported.  The exit hook registered here is the stdlib's own stop: it
+    server imports numpy, ``numpy.random``, the pool's worker module and this
+    package once; every worker of every later call is a fork of it and
+    starts with them imported.  ``numpy.random`` is imported on first use
+    (``rng.stream_normals``), not with the package, so that set-up does not
+    pay for it.  The exit hook registered here is the stdlib's own stop: it
     closes the server's "alive" pipe and waits for the server to exit, so
     the server does not outlive the caller.  Each worker holds that pipe
     too, so the server can exit only because every pool is shut down before
@@ -576,7 +578,7 @@ def _forkserver_context():
     """
     from multiprocessing import forkserver, get_context
 
-    forkserver.set_forkserver_preload(["numpy", "concurrent.futures.process", __package__])
+    forkserver.set_forkserver_preload(["numpy", "numpy.random", "concurrent.futures.process", __package__])
     atexit.register(forkserver._forkserver._stop)
     return get_context("forkserver")
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,18 @@ def paths_1d_two_dates():
 def mc_z(sample_mean, target, sample_std, n):
     """Standardised MC deviation of a sample mean from its target."""
     return (sample_mean - target) / (sample_std / np.sqrt(n))
+
+
+def cyclic_garbage(call):
+    """Objects that only the cycle collector frees after a second ``call()``, run with it off.
+
+    The first call makes any lazy imports, whose modules hold cycles of their own.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -38,7 +38,7 @@ from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriang
 from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation, tree_converged
 from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
-from conftest import BENCH_RATE
+from conftest import BENCH_RATE, cyclic_garbage
 
 
 class TestPayoff:
@@ -807,6 +807,20 @@ class TestPriceMcm:
                                 calibration=c) for c in ("closed", "M1"))
         assert closed.values == m1.values and closed.fallbacks == m1.fallbacks
 
+    @pytest.mark.parametrize("dim,vol,method", [
+        (2, "correlated", "P2opt"),  # raw dominance sums; "closed" calibrates with M1
+        (3, "correlated", "P2opt"),  # raw tile engine
+        (5, "diagonal", "P2opt"),  # conditioned, closed calibration
+        (2, "diagonal", "LS"),
+    ])
+    def test_a_priced_call_leaves_no_cyclic_garbage(self, dim, vol, method):
+        # every per-date array is freed by reference counting when its date is done
+        corr = np.full((dim, dim), 0.3) + 0.7 * np.eye(dim)
+        vol_spec = 0.2 * np.linalg.cholesky(corr) if vol == "correlated" else 0.2
+        call = partial(price_mcm, Payoff("geometric_put", dim, 100.0), vol_spec, 1.0, 4, 100.0, BENCH_RATE,
+                       2**10, seed=7, method=method, replications=1)
+        assert cyclic_garbage(call) == 0
+
 
 # Sweeps for the pool tests, defined at module level so that pool workers
 # unpickle them by reference.
@@ -874,9 +888,11 @@ args = (Payoff("geometric_put", 2, 100.0), 0.2, 1.0, 3, 100.0, 0.0, 256, 1)
 serial = price_mcm(*args, replications=4, n_workers=1)
 parallel = price_mcm(*args, replications=4, n_workers=2)
 after = [os.environ.get(name) for name in names]
-# a new worker of the same server runs a builtin: only the server's preload imports the package there
+# a new worker of the same server runs a builtin before any job: only the server's preload imports
+# the package and numpy.random there
 with ProcessPoolExecutor(1, mp_context=pricer._forkserver_context()) as pool:
-    preloaded = pool.submit(eval, "'mcmpricer.pricer' in __import__('sys').modules").result()
+    loaded = "[m in __import__('sys').modules for m in ('mcmpricer.pricer', 'numpy.random')]"
+    preloaded = pool.submit(eval, loaded).result()
 print(json.dumps({"equal": serial.values == parallel.values, "before": before, "after": after,
                   "preload": forkserver._forkserver._preload_modules, "preloaded": preloaded}))
 resource_tracker._resource_tracker._stop()
@@ -1033,8 +1049,8 @@ class TestReplicationPool:
         assert out.returncode == 0, out.stderr
         record = json.loads(out.stdout)
         assert record["equal"]
-        assert "mcmpricer" in record["preload"]
-        assert record["preloaded"]
+        assert {"mcmpricer", "numpy.random"} <= set(record["preload"])
+        assert record["preloaded"] == [True, True]
         # PYTHONPATH unset, OMP_NUM_THREADS 3 and the other BLAS variables unset, as before the call
         assert record["before"] == record["after"] == [None, None, "3", None]
 

@@ -17,7 +17,7 @@ from mcmpricer import (
 from mcmpricer.errors import DegenerateDenominatorError, DimensionTooLargeError, SIndexZeroError
 from mcmpricer.weights import aggregate_gamma
 
-from conftest import BENCH_RATE
+from conftest import BENCH_RATE, cyclic_garbage
 
 
 def _handmade_paths_1d(w_s, w_t):
@@ -117,9 +117,10 @@ class TestGamma:
         assert gamma_bruteforce(pi, c)[0] == 3.7
 
     def test_d2_closed_form(self):
-        pi = np.array([[2.0, 3.0]])
+        pi = np.random.default_rng(2).normal(1.0, 2.0, (64, 2))
         c = np.array([[1.0, 0.7], [0.7, 1.0]])
-        assert gamma_recursive(pi, c)[0] == pytest.approx(2.0 * 3.0 - 0.7, abs=1e-14)
+        # the same two operations in the same order: bitwise equal
+        assert np.array_equal(gamma_recursive(pi, c), pi[:, 0] * pi[:, 1] - c[0, 1])
 
     def test_d3_closed_form(self):
         pi = np.array([[1.5, -2.0, 0.5]])
@@ -136,6 +137,13 @@ class TestGamma:
         rec = gamma_recursive(pi, c)
         enum = gamma_bruteforce(pi, c)
         assert np.max(np.abs(rec - enum) / (1.0 + np.abs(enum))) <= 1e-10
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_leaves_no_cyclic_garbage(self, d):
+        # the memo of per-path arrays is freed by reference counting when the call returns
+        pi = np.random.default_rng(d).normal(1.0, 2.0, (64, d))
+        c = np.eye(d) + 0.1
+        assert cyclic_garbage(lambda: gamma_recursive(pi, c)) == 0
 
     def test_bruteforce_dimension_cap(self):
         with pytest.raises(DimensionTooLargeError):
