@@ -9,17 +9,14 @@ from .kernels import (
     kernel_second_moment,
 )
 from .market_model import AssetPaths, TimeGrid, TriangularVol, build_vol, simulate_paths
-from .pricer import (
-    Payoff,
-    PriceEstimate,
+from .oracles import (
     conditional_expectation_check,
-    evaluate_payoff,
     geometric_equivalent_1d,
     lognormal_conditional_put,
-    price_mcm,
     price_tree_1d,
     tree_american_put,
 )
+from .pricer import Payoff, PriceEstimate, evaluate_payoff, price_mcm
 from .ratio import (
     QuotientPlan,
     QuotientStats,

@@ -47,7 +47,6 @@ from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingular
 from .kernels import (
     KERNEL_DEN_FLOOR,
     DiagonalKernelParams,
-    conditioned_continuation,
     denominator_closed_form,
     denominator_factors,
     kernel_second_moment,
@@ -55,6 +54,7 @@ from .kernels import (
     sample_features,
 )
 from .market_model import AssetPaths, TimeGrid, build_vol, initial_assets, simulate_paths
+from .oracles import tree_converged  # the acceptance suite imports it from this module
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
 from .rng import SEED_LIMIT, replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
@@ -627,12 +627,12 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
     min(n_workers, replications) - 1 workers, and the caller and the workers
     claim replication indices from one shared counter until none is left,
     so the caller prices while its workers start up.  On Linux the workers
-    are forks of a forkserver that has already imported numpy, the pool's
-    worker module and this package (``_forkserver_context``); elsewhere
-    they are spawned.  The pool is shut down before the call returns.  The
-    values are a pure function of ``job``, independent of n_workers and of
-    the start method.  The caller keeps BLAS threading as installed; each
-    worker runs one BLAS thread.
+    are forks of a forkserver that has already imported numpy,
+    ``numpy.random``, the pool's worker module and this package
+    (``_forkserver_context``); elsewhere they are spawned.  The pool is shut
+    down before the call returns.  The values are a pure function of
+    ``job``, independent of n_workers and of the start method.  The caller
+    keeps BLAS threading as installed; each worker runs one BLAS thread.
     """
     t0 = time.perf_counter()
     n_pool = min(n_workers, replications) - 1
@@ -736,100 +736,3 @@ def price_mcm(
     job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
     return _replicate(job, replications, n_workers)
 
-
-# ---------------------------------------------------------------------------
-# Binomial-tree oracle (1D equivalence of the geometric basket)
-# ---------------------------------------------------------------------------
-
-def geometric_equivalent_1d(dim: int, sigma: float) -> tuple[float, float]:
-    """(vol, continuous yield) of the 1D lognormal carrying the geometric mean.
-
-    The geometric mean of d independent assets with equal vol sigma is
-    lognormal with vol sigma/sqrt(d) and drift shortfall (sigma^2 - vol^2)/2,
-    absorbed as a dividend-like yield.
-    """
-    sig_g = sigma / np.sqrt(dim)
-    q = 0.5 * (sigma**2 - sig_g**2)
-    return float(sig_g), float(q)
-
-
-def tree_american_put(
-    s0: float, strike: float, r: float, q: float, sigma: float, maturity: float, n_tree_steps: int
-) -> float:
-    """CRR binomial value of an American put with a continuous yield.
-
-    Node j of step i holds the asset (s0 up^(i-j)) dn^j.  The powers are
-    taken once, so each backward step costs O(i) multiplies and no ``pow``;
-    the values are bitwise those of taking the powers at every step.
-    """
-    dt = maturity / n_tree_steps
-    up = np.exp(sigma * np.sqrt(dt))
-    dn = 1.0 / up
-    p = (np.exp((r - q) * dt) - dn) / (up - dn)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"tree step too coarse: risk-neutral p={p:.4f} outside (0,1)")
-    disc = np.exp(-r * dt)
-    k = np.arange(n_tree_steps + 1)
-    s_up = s0 * up**k
-    dn_pow = dn**k
-    vals = np.maximum(strike - s_up[::-1] * dn_pow, 0.0)
-    down = np.empty(n_tree_steps)
-    exercise = np.empty(n_tree_steps)
-    for i in range(n_tree_steps - 1, -1, -1):
-        v, b, x = vals[: i + 1], down[: i + 1], exercise[: i + 1]
-        # (1 - p) * vals[j + 1] before vals[j] is overwritten
-        np.multiply(1.0 - p, vals[1 : i + 2], out=b)
-        np.multiply(p, v, out=v)
-        np.add(v, b, out=v)
-        np.multiply(disc, v, out=v)
-        np.multiply(s_up[i::-1], dn_pow[: i + 1], out=x)
-        np.subtract(strike, x, out=x)
-        np.maximum(v, x, out=v)
-    return float(vals[0])
-
-
-def price_tree_1d(
-    dim: int, strike: float, s0: float, r: float, sigma: float, maturity: float, n_tree_steps: int = 5000
-) -> float:
-    """Tree value of the d-dimensional geometric-average American put."""
-    sig_g, q = geometric_equivalent_1d(dim, sigma)
-    return tree_american_put(s0, strike, r, q, sig_g, maturity, n_tree_steps)
-
-
-def tree_converged(dim: int, strike: float, s0: float, r: float, sigma: float, maturity: float,
-                   n_tree_steps: int = 5000) -> bool:
-    """True when doubling the tree steps moves the value by less than 5e-3."""
-    a = price_tree_1d(dim, strike, s0, r, sigma, maturity, n_tree_steps)
-    b = price_tree_1d(dim, strike, s0, r, sigma, maturity, 2 * n_tree_steps)
-    return abs(a - b) < 5e-3
-
-
-# ---------------------------------------------------------------------------
-# Single-date conditional expectation check (1D oracle)
-# ---------------------------------------------------------------------------
-
-def lognormal_conditional_put(x: float, strike: float, r: float, sigma: float, dt: float) -> float:
-    """Exact E[(K - S_t)_+ | S_s = x] for the 1D lognormal with drift r."""
-    d1 = (np.log(x / strike) + (r + 0.5 * sigma**2) * dt) / (sigma * np.sqrt(dt))
-    d2 = d1 - sigma * np.sqrt(dt)
-    return float(strike * _norm_cdf(-d2) - x * np.exp(r * dt) * _norm_cdf(-d1))
-
-
-def _norm_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def conditional_expectation_check(x: float, n_paths: int = 2**18, seed: int = 20260808) -> tuple[float, float]:
-    """Single-date continuation quotient against the exact conditional law.
-
-    Returns (mcm estimate, oracle value) for g = (K - S_t)_+ conditioned on
-    S_s = x, with K = S0 = 100, sigma = 0.2, r = ln 1.1, s = 0.5 and t = 1:
-    the conditioned estimator with shared numerator/denominator paths
-    (equal counts) on a two-date grid.
-    """
-    strike, sigma, r = 100.0, 0.2, float(np.log(1.1))
-    paths = simulate_paths(build_vol(1, sigma), TimeGrid(1.0, 2), 100.0, r, n_paths, seed)
-    g = np.maximum(strike - paths.s[:, -1, 0], 0.0)
-    num, den = conditioned_continuation(paths, 1, 2, x, g)
-    return num / den, lognormal_conditional_put(x, strike, r, sigma, 0.5)

@@ -21,21 +21,18 @@ from mcmpricer import (
     Payoff,
     TimeGrid,
     build_vol,
-    conditional_expectation_check,
     conditioned_continuation,
     evaluate_payoff,
-    geometric_equivalent_1d,
     kernel_h,
     path_weights,
     price_mcm,
-    price_tree_1d,
     raw_continuation,
     simulate_paths,
     tree_american_put,
 )
 from mcmpricer import pricer, ratio
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriangularError
-from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation, tree_converged
+from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation
 from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
 from conftest import BENCH_RATE, cyclic_garbage
@@ -1121,69 +1118,3 @@ class TestPriceLs:
         default = price_mcm(*args, method="LS", replications=2)
         other = price_mcm(*args, method="LS", conditioning=False, calibration="M2", replications=2)
         assert other.values == default.values and other.fallbacks == default.fallbacks
-
-
-def _tree_pow_loop(s0, strike, r, q, sigma, maturity, n_tree_steps):
-    """The CRR tree taking up^(i-j) and dn^j afresh at every backward step."""
-    dt = maturity / n_tree_steps
-    up = np.exp(sigma * np.sqrt(dt))
-    dn = 1.0 / up
-    p = (np.exp((r - q) * dt) - dn) / (up - dn)
-    disc = np.exp(-r * dt)
-    j = np.arange(n_tree_steps + 1)
-    vals = np.maximum(strike - s0 * up ** (n_tree_steps - j) * dn**j, 0.0)
-    for i in range(n_tree_steps - 1, -1, -1):
-        st = s0 * up ** (i - np.arange(i + 1)) * dn ** np.arange(i + 1)
-        vals = disc * (p * vals[:-1] + (1.0 - p) * vals[1:])
-        np.maximum(vals, strike - st, out=vals)
-    return float(vals[0])
-
-
-class TestTreeOracle:
-    @pytest.mark.parametrize("dim,n_tree_steps", [(d, n) for d in (1, 5, 10) for n in (5000, 10000)])
-    def test_geometric_equivalents_bitwise_equal_to_pow_loop(self, dim, n_tree_steps):
-        sig_g, q = geometric_equivalent_1d(dim, 0.2)
-        args = (100.0, 100.0, BENCH_RATE, q, sig_g, 1.0, n_tree_steps)
-        assert tree_american_put(*args) == _tree_pow_loop(*args)
-
-    @pytest.mark.parametrize("strike,q,sigma,n_tree_steps", [
-        (110.0, 0.03, 0.9, 2000),  # nonzero yield, high vol
-        (1000.0, 0.0, 0.2, 2000),  # deep in the money: exercise at every node
-        (100.0, 0.0, 0.2, 1),
-        (100.0, 0.0, 0.2, 2),
-        (105.0, 0.01, 0.3, 3),
-    ])
-    def test_edge_configs_bitwise_equal_to_pow_loop(self, strike, q, sigma, n_tree_steps):
-        args = (100.0, strike, BENCH_RATE, q, sigma, 1.0, n_tree_steps)
-        assert tree_american_put(*args) == _tree_pow_loop(*args)
-
-    @pytest.mark.parametrize("q,sigma", [(0.0, 0.01), (1.0, 0.2)])  # p > 1, then p < 0
-    def test_coarse_step_rejected(self, q, sigma):
-        with pytest.raises(ValueError, match="outside"):
-            tree_american_put(100.0, 100.0, BENCH_RATE, q, sigma, 1.0, 1)
-
-    @pytest.mark.parametrize("dim,target", [(1, 4.918), (5, 1.583), (10, 0.890)])
-    def test_reference_values(self, dim, target):
-        value = price_tree_1d(dim, 100.0, 100.0, BENCH_RATE, 0.2, 1.0, 5000)
-        assert value == pytest.approx(target, abs=0.005)
-
-    def test_equivalent_yield(self):
-        sig_g, q = geometric_equivalent_1d(4, 0.2)
-        assert sig_g == pytest.approx(0.1)
-        assert q == pytest.approx(0.5 * (0.04 - 0.01))
-
-    def test_convergence_under_doubling(self):
-        assert tree_converged(1, 100.0, 100.0, BENCH_RATE, 0.2, 1.0, n_tree_steps=2500)
-
-
-class TestConditionalExpectationCheck:
-    def test_atm_within_one_percent(self):
-        mcm, oracle = conditional_expectation_check(100.0, n_paths=2**17)
-        assert abs(mcm - oracle) / oracle < 0.01
-
-    def test_identity_function_quotient_is_one(self, paths_1d_two_dates):
-        from mcmpricer import conditioned_continuation
-
-        ones = np.ones(paths_1d_two_dates.n_paths)
-        num, den = conditioned_continuation(paths_1d_two_dates, 1, 2, 110.0, ones)
-        assert num / den == 1.0
