@@ -88,6 +88,8 @@ class Payoff:
     strike: float
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise TypeError(f"dim must be an integer, got {self.dim!r}")
         if self.kind not in ("geometric_put", "min_put", "max_call"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("min_put", "max_call") and self.dim != 2:
@@ -531,26 +533,44 @@ def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
 
 # The directory that holds the package: the forkserver imports the package from it
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The caller's main-script path, handed to the forkserver while it starts (see _forkserver_main)
+_MAIN_PATH_VAR = "_MCMPRICER_MAIN_PATH"
 
 
 @contextmanager
 def _worker_environment():
-    """Set the BLAS thread variables to 1 and put PACKAGE_ROOT first on PYTHONPATH, then restore them.
+    """Set the variables a forkserver or spawn worker starts with, then restore the caller's values.
 
-    BLAS libraries read these variables when they load, so the workers
-    started inside the block run one BLAS thread each, and this process
-    keeps the threads it loaded with.  A forkserver reads them once, when the
-    first pool starts it; one BLAS thread also leaves it single-threaded, so
-    it forks without CPython's warning on forking a threaded process.  The
-    server gets the caller's ``sys.path`` only through PYTHONPATH:
-    CPython's forkserver does not apply the path it is handed before its
-    preloads.  With PACKAGE_ROOT first it imports this package even when
-    the caller found it by a ``sys.path`` entry alone.
+    The BLAS thread variables are set to 1.  BLAS libraries read them when
+    they load, so the workers started inside the block run one BLAS thread
+    each, and this process keeps the threads it loaded with.  A forkserver
+    reads them once, when the first pool starts it; one BLAS thread also
+    leaves it single-threaded, so it forks without CPython's warning on
+    forking a threaded process.  Two more variables make up for defects of
+    CPython's forkserver (3.11 to 3.13), which filters the start data it
+    hands the server by the keys ``sys_path`` and ``main_path``:
+      * it does not apply ``sys_path`` before its preloads, so the server
+        gets the caller's ``sys.path`` only through PYTHONPATH.  With
+        PACKAGE_ROOT first it imports this package even when the caller
+        found it by a ``sys.path`` entry alone;
+      * ``spawn.get_preparation_data`` emits the main script as
+        ``init_main_from_path``, never as ``main_path``, so the server never
+        imports it and every worker re-runs it.  _MAIN_PATH_VAR holds that
+        path as ``get_preparation_data`` computes it, and is removed when
+        the caller has none (``python -c``, ``python -m``), so a value set
+        outside never reaches the server; ``_forkserver_main`` imports it.
     """
-    names = (*BLAS_THREAD_VARS, "PYTHONPATH")
+    from multiprocessing import spawn
+
+    names = (*BLAS_THREAD_VARS, "PYTHONPATH", _MAIN_PATH_VAR)
     saved = {name: os.environ.get(name) for name in names}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, saved["PYTHONPATH"])))
+    main_path = spawn.get_preparation_data("ignore").get("init_main_from_path")
+    if main_path is None:
+        os.environ.pop(_MAIN_PATH_VAR, None)
+    else:
+        os.environ[_MAIN_PATH_VAR] = main_path
     try:
         yield
     finally:
@@ -566,19 +586,25 @@ def _forkserver_context():
     """The forkserver context with its workers' imports preloaded, made on the first parallel call.
 
     The first pool starts the server inside ``_worker_environment``, and the
-    server imports numpy, ``numpy.random``, the pool's worker module and this
-    package once; every worker of every later call is a fork of it and
-    starts with them imported.  ``numpy.random`` is imported on first use
-    (``rng.stream_normals``), not with the package, so that set-up does not
-    pay for it.  The exit hook registered here is the stdlib's own stop: it
-    closes the server's "alive" pipe and waits for the server to exit, so
-    the server does not outlive the caller.  Each worker holds that pipe
-    too, so the server can exit only because every pool is shut down before
-    its call returns.
+    server imports numpy, ``numpy.random``, ``numpy.ma``, the pool's worker
+    module, this package and, last, ``_forkserver_main``, which imports the
+    caller's main script as ``__mp_main__``.  Every worker of every later
+    call is a fork of the server and starts with them imported: it finds
+    ``__main__`` already set to the script and does not re-run it.  Should
+    the script fail to import in the server, each worker re-runs it as
+    before.  ``numpy.random`` is imported on first use
+    (``rng.stream_normals``) and ``numpy.ma`` by ``np.unique``
+    (``TriangularVol.union_times``), not with the package, so that set-up
+    does not pay for them.  The exit hook registered here is the stdlib's
+    own stop: it closes the server's "alive" pipe and waits for the server
+    to exit, so the server does not outlive the caller.  Each worker holds
+    that pipe too, so the server can exit only because every pool is shut
+    down before its call returns.
     """
     from multiprocessing import forkserver, get_context
 
-    forkserver.set_forkserver_preload(["numpy", "numpy.random", "concurrent.futures.process", __package__])
+    forkserver.set_forkserver_preload(["numpy", "numpy.random", "numpy.ma", "concurrent.futures.process",
+                                       __package__, f"{__package__}._forkserver_main"])
     atexit.register(forkserver._forkserver._stop)
     return get_context("forkserver")
 
@@ -628,8 +654,10 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
     claim replication indices from one shared counter until none is left,
     so the caller prices while its workers start up.  On Linux the workers
     are forks of a forkserver that has already imported numpy,
-    ``numpy.random``, the pool's worker module and this package
-    (``_forkserver_context``); elsewhere they are spawned.  The pool is shut
+    ``numpy.random``, ``numpy.ma``, the pool's worker module, this package
+    and the caller's main script, so a worker neither re-runs the script nor
+    imports a module while it prices (``_forkserver_context``); elsewhere
+    they are spawned and each re-runs the script.  The pool is shut
     down before the call returns.  The values are a pure function of
     ``job``, independent of n_workers and of the start method.  The caller
     keeps BLAS threading as installed; each worker runs one BLAS thread.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -59,6 +60,14 @@ class TestPayoff:
     def test_strike_must_be_positive_and_finite(self, strike):
         with pytest.raises(ValueError, match="strike must be positive and finite"):
             Payoff("geometric_put", 1, strike)
+
+    @pytest.mark.parametrize("dim", [True, 2.0, 2.5, "2"])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            Payoff("geometric_put", dim, 100.0)
+
+    def test_numpy_integer_dim_is_accepted(self):
+        assert Payoff("geometric_put", np.int64(2), 100.0).dim == 2
 
     def test_min_put_requires_two_assets(self):
         with pytest.raises(DimensionMismatchError):
@@ -714,7 +723,8 @@ class TestTooling:
         # a light import keeps set-up and the start-up of every pool worker short;
         # only a call that starts a process pool loads the pool's modules
         env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
-        modules = ["scipy", "multiprocessing", "concurrent.futures.process", "mcmpricer.bench", "argparse"]
+        modules = ["scipy", "multiprocessing", "concurrent.futures.process", "mcmpricer.bench", "argparse",
+                   "mcmpricer._forkserver_main", "numpy.ma"]
         code = f"import sys, mcmpricer; print([m for m in {modules!r} if m in sys.modules])"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
@@ -724,22 +734,34 @@ class TestTooling:
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        for pythonpath in (None, "", os.pathsep.join(["/a", "/b"])):
-            if pythonpath is None:
-                monkeypatch.delenv("PYTHONPATH", raising=False)
-            else:
-                monkeypatch.setenv("PYTHONPATH", pythonpath)
+        # a caller run as a script has a main module with a file and no spec; pytest's has a spec
+        script = types.ModuleType("__main__")
+        script.__file__, script.__spec__ = "script.py", None
+        cases = product((None, "", os.pathsep.join(["/a", "/b"])), (None, "/set/by/the/caller.py"),
+                        (sys.modules["__main__"], script))
+        for pythonpath, caller_value, main in cases:
+            for name, value in (("PYTHONPATH", pythonpath), (pricer._MAIN_PATH_VAR, caller_value)):
+                if value is None:
+                    monkeypatch.delenv(name, raising=False)
+                else:
+                    monkeypatch.setenv(name, value)
+            monkeypatch.setitem(sys.modules, "__main__", main)
             with pytest.raises(RuntimeError):
                 with pricer._worker_environment():
                     assert [os.environ[v] for v in pricer.BLAS_THREAD_VARS] == ["1"] * 3
                     # the package root first, then the caller's entries
                     assert os.environ["PYTHONPATH"].split(os.pathsep) == (
                         [pricer.PACKAGE_ROOT] + (pythonpath.split(os.pathsep) if pythonpath else []))
+                    # the main script's absolute path, or nothing: never the caller's value
+                    assert os.environ.get(pricer._MAIN_PATH_VAR) == (
+                        os.path.join(multiprocessing.process.ORIGINAL_DIR, "script.py") if main is script
+                        else None)
                     raise RuntimeError
             assert os.environ["OMP_NUM_THREADS"] == "7"
             assert "OPENBLAS_NUM_THREADS" not in os.environ
             assert "MKL_NUM_THREADS" not in os.environ
             assert os.environ.get("PYTHONPATH") == pythonpath
+            assert os.environ.get(pricer._MAIN_PATH_VAR) == caller_value
         assert Path(pricer.PACKAGE_ROOT, "mcmpricer", "__init__.py").is_file()
 
 
@@ -858,6 +880,36 @@ def _worker_report(caller, marks, i):
     return 0.0, 0
 
 
+def _import_report(caller, marks, job, i):
+    """A worker records the modules that pricing ``i`` imported; the caller waits up to 60 s for a record."""
+    if os.getpid() != caller:
+        before = set(sys.modules)
+        result = job(i)
+        (Path(marks) / f"{os.getpid()}-{i}.json").write_text(json.dumps(sorted(set(sys.modules) - before)))
+        return result
+    deadline = time.monotonic() + 60.0
+    while not list(Path(marks).glob("*.json")) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return 0.0, 0
+
+
+# A script that logs each import of itself next to itself, then prices two parallel calls and a
+# serial one under its main guard and prints whether their values agree.  {check} runs before the log.
+_MAIN_SCRIPT = """
+import json, sys
+from pathlib import Path
+{check}
+with open(Path(__file__).with_suffix(".log"), "a") as log:
+    log.write(__name__ + "\\n")
+from mcmpricer import Payoff, price_mcm
+
+if __name__ == "__main__":
+    args = (Payoff("geometric_put", 2, 100.0), 0.2, 1.0, 3, 100.0, 0.0, 256, 1)
+    serial = price_mcm(*args, replications=4, n_workers=1).values
+    print(json.dumps([price_mcm(*args, replications=4, n_workers=2).values == serial for _ in range(2)]))
+"""
+
+
 # One parallel call in a fresh interpreter that stops the resource tracker
 # before it exits, as perfbench/run.py does, and prints the forkserver's pid.
 _EXIT_SCRIPT = """
@@ -879,19 +931,21 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import forkserver, resource_tracker
 from mcmpricer import Payoff, pricer, price_mcm
 
-names = ("PYTHONPATH", *pricer.BLAS_THREAD_VARS)
+names = ("PYTHONPATH", *pricer.BLAS_THREAD_VARS, pricer._MAIN_PATH_VAR)
 before = [os.environ.get(name) for name in names]
 args = (Payoff("geometric_put", 2, 100.0), 0.2, 1.0, 3, 100.0, 0.0, 256, 1)
 serial = price_mcm(*args, replications=4, n_workers=1)
 parallel = price_mcm(*args, replications=4, n_workers=2)
 after = [os.environ.get(name) for name in names]
-# a new worker of the same server runs a builtin before any job: only the server's preload imports
-# the package and numpy.random there
+# a new worker of the same server runs builtins before any job: only the server's preloads import
+# the package, numpy.random and numpy.ma there, and its environment is the server's
 with ProcessPoolExecutor(1, mp_context=pricer._forkserver_context()) as pool:
-    loaded = "[m in __import__('sys').modules for m in ('mcmpricer.pricer', 'numpy.random')]"
-    preloaded = pool.submit(eval, loaded).result()
+    modules = ("mcmpricer.pricer", "numpy.random", "numpy.ma", "mcmpricer._forkserver_main")
+    preloaded = pool.submit(eval, f"[m in __import__('sys').modules for m in {modules!r}]").result()
+    server_main_path = pool.submit(os.getenv, pricer._MAIN_PATH_VAR).result()
 print(json.dumps({"equal": serial.values == parallel.values, "before": before, "after": after,
-                  "preload": forkserver._forkserver._preload_modules, "preloaded": preloaded}))
+                  "preload": forkserver._forkserver._preload_modules, "preloaded": preloaded,
+                  "server_main_path": server_main_path}))
 resource_tracker._resource_tracker._stop()
 """
 
@@ -1040,16 +1094,52 @@ class TestReplicationPool:
     def test_workers_start_with_the_package_found_by_sys_path_alone(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *pricer.BLAS_THREAD_VARS)}
         env["OMP_NUM_THREADS"] = "3"
+        env[pricer._MAIN_PATH_VAR] = "/set/by/the/caller.py"
         root = str(Path(mcmpricer.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", _PRELOAD_SCRIPT, root], env=env, cwd=tmp_path,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         record = json.loads(out.stdout)
         assert record["equal"]
-        assert {"mcmpricer", "numpy.random"} <= set(record["preload"])
-        assert record["preloaded"] == [True, True]
-        # PYTHONPATH unset, OMP_NUM_THREADS 3 and the other BLAS variables unset, as before the call
-        assert record["before"] == record["after"] == [None, None, "3", None]
+        assert {"mcmpricer", "numpy.random", "numpy.ma"} <= set(record["preload"])
+        assert record["preload"][-1] == "mcmpricer._forkserver_main"
+        assert record["preloaded"] == [True] * 4
+        # PYTHONPATH unset, OMP_NUM_THREADS 3, the other BLAS variables unset and the caller's main
+        # path variable kept, as before the call; the server got none, as `python -c` has no script
+        assert record["before"] == record["after"] == [None, None, "3", None, "/set/by/the/caller.py"]
+        assert record["server_main_path"] is None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    @pytest.mark.parametrize("vol,sweep", [
+        (0.2, _mcm_induction("P2opt", calibration="closed")),
+        ([[0.2, 0.0], [0.06, 0.2 * np.sqrt(0.91)]], _mcm_induction("P2opt", conditioning=False)),
+        (0.2, _ls_induction),
+    ], ids=["conditioned-P2opt", "raw-correlated", "LS"])
+    def test_a_worker_imports_no_module_while_it_prices(self, vol, sweep, tmp_path):
+        # the server's preloads hold every module pricing needs; a lazy import would cost every
+        # worker of every call its own import
+        job = partial(pricer._one_replication, sweep, Payoff("geometric_put", 2, 100.0), build_vol(2, vol),
+                      TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**9, 5)
+        pricer._replicate(partial(_import_report, os.getpid(), str(tmp_path), job), 2, 2)
+        records = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+        assert records == [[]]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    @pytest.mark.parametrize("check,log", [
+        ("", ["__main__", "__mp_main__"]),
+        # the server runs with its own sys.argv, so there the script exits at import: then each
+        # worker of each call re-runs it
+        ("if sys.argv[1:2] != ['go']:\n    sys.exit('needs go')", ["__main__"] + ["__mp_main__"] * 2),
+    ], ids=["imported-by-the-server", "re-run-by-each-worker"])
+    def test_the_main_script_runs_once_in_the_server(self, check, log, tmp_path):
+        script = tmp_path / "script.py"
+        script.write_text(_MAIN_SCRIPT.format(check=check))
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, str(script), "go"], env=env, cwd=tmp_path, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout) == [True, True]
+        assert script.with_suffix(".log").read_text().split() == log
 
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)
