@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, McmPricerError, NonDeterministicResultError, NotDiagonalError
 from .market_model import build_vol
-from .pricer import CALIBRATIONS, METHODS, Payoff, price_mcm
+from .pricer import CALIBRATIONS, METHODS, PAYOFF_KINDS, Payoff, price_mcm
 from .rng import SEED_LIMIT
 
-ENV_THREADS = "MCMPRICER_THREADS"
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
 SCALING_COLUMNS = ("degree", "runtime_ms", "speedup", "price", "std")
 NUMBER_FIELDS = {**dict.fromkeys(("dim", "n_steps", "log2_paths", "replications", "seed", "threads"), Integral),
@@ -90,11 +89,9 @@ class RunConfig:
         except (ValueError, McmPricerError) as exc:
             raise ConfigError("payoff", str(exc)) from exc
         try:
-            vol = build_vol(self.dim, self.vol)
+            build_vol(self.dim, self.vol).overlaps(0.0, self.maturity)
         except (ValueError, TypeError, KeyError, McmPricerError) as exc:
             raise ConfigError("vol", f"{type(exc).__name__}: {exc}") from exc
-        if vol.breaks[-1] < self.maturity:
-            raise ConfigError("vol", f"breaks end at {vol.breaks[-1]}, before maturity {self.maturity}")
         return self
 
     @property
@@ -135,15 +132,6 @@ class PriceTable:
     def to_json(self) -> str:
         return json.dumps({"rows": self.rows, "failures": self.failures}, indent=2, sort_keys=True)
 
-    def content_key(self) -> tuple:
-        """Row contents excluding runtime columns, for determinism checks."""
-        return tuple(
-            tuple(r[c] for c in TABLE_COLUMNS if c != "runtime_ms") for r in self.rows
-        )
-
-    def write(self, path: str) -> None:
-        _write_outputs(path, self.to_csv(), self.to_json())
-
 
 def _csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
     buf = io.StringIO()
@@ -151,15 +139,6 @@ def _csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_outputs(path: str, csv_text: str, json_text: str) -> None:
-    """Write the CSV to ``path`` (its .csv sibling for another extension) and the JSON next to it."""
-    base, ext = os.path.splitext(path)
-    with open(path if ext.lower() == ".csv" else base + ".csv", "w") as fh:
-        fh.write(csv_text)
-    with open(base + ".json", "w") as fh:
-        fh.write(json_text)
 
 
 def _run_cell(config: RunConfig) -> dict:
@@ -257,7 +236,7 @@ def scaling_report(config: RunConfig, degrees: list[int]) -> list[dict]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=False, help="JSON config file")
     parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--payoff", choices=("geometric_put", "min_put", "max_call"))
+    parser.add_argument("--payoff", choices=PAYOFF_KINDS)
     parser.add_argument("--dim", type=int)
     parser.add_argument("--steps", type=int, dest="n_steps")
     parser.add_argument("--log2-paths", type=int, dest="log2_paths")
@@ -271,21 +250,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
-    env = os.environ.get(ENV_THREADS)
-    if "threads" not in overrides and env:
-        try:
-            overrides["threads"] = int(env)
-        except ValueError as exc:
-            raise ConfigError("threads", f"{ENV_THREADS} must be an integer, got {env!r}") from exc
     if args.config:
         return RunConfig.from_json(args.config, overrides)
     return replace(RunConfig(), **overrides).validate()
 
 
-def _emit(table: PriceTable, out: str | None) -> None:
-    sys.stdout.write(table.to_csv())
-    if out:
-        table.write(out)
+def _emit(csv_text: str, json_text: str, out: str | None) -> None:
+    """Print the CSV; with ``out``, also write it to ``out`` (its .csv sibling for another
+    extension) and the JSON mirror next to it."""
+    sys.stdout.write(csv_text)
+    if not out:
+        return
+    base, ext = os.path.splitext(out)
+    with open(out if ext.lower() == ".csv" else base + ".csv", "w") as fh:
+        fh.write(csv_text)
+    with open(base + ".json", "w") as fh:
+        fh.write(json_text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -308,23 +288,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "price":
-            _emit(run(config), config.out)
+            table = run(config)
+            _emit(table.to_csv(), table.to_json(), config.out)
         elif args.command == "sweep":
             try:
                 axes = json.loads(args.axes)
             except json.JSONDecodeError as exc:
                 raise ConfigError("axes", f"invalid JSON: {exc}") from exc
-            _emit(sweep(config, axes), config.out)
+            table = sweep(config, axes)
+            _emit(table.to_csv(), table.to_json(), config.out)
         else:
             try:
                 degrees = [int(v) for v in args.degrees.split(",") if v]
             except ValueError as exc:
                 raise ConfigError("degrees", f"must be comma-separated integers: {exc}") from exc
             rows = scaling_report(config, degrees)
-            text = _csv_text(SCALING_COLUMNS, rows)
-            sys.stdout.write(text)
-            if config.out:
-                _write_outputs(config.out, text, json.dumps(rows, indent=2))
+            _emit(_csv_text(SCALING_COLUMNS, rows), json.dumps(rows, indent=2), config.out)
     except (ConfigError, NotDiagonalError) as exc:
         # NotDiagonalError reaches here only from price_mcm's check of P1 before any work
         sys.stderr.write(f"config error: {exc}\n")

@@ -148,14 +148,15 @@ def conditioned_continuation(
     Returns the MC means of g(S_t) prod_k h_k(x_k, W_t^k) and of the kernel
     product over all paths: the single-query reference for the pricer's
     engine.  Raises NotDiagonalError unless the volatility is constant
-    diagonal.
+    diagonal, and ValueError unless ``x`` is componentwise finite and
+    positive.
     """
     dates = paths.grid.dates
     s, t = float(dates[s_index]), float(dates[t_index])
     params = DiagonalKernelParams.from_model(paths.vol, s, t, paths.rate, paths.s0)
     x = np.broadcast_to(np.asarray(x, dtype=float), (paths.dim,))
-    if np.any(x <= 0.0):
-        raise ValueError("query point must be componentwise positive")
+    if not np.all((0.0 < x) & (x < np.inf)):
+        raise ValueError(f"query point must be componentwise finite and positive, got {x}")
     h = kernel_h(params, x, paths.w_at_date(t_index))
     num = float(np.mean(np.asarray(values, dtype=float) * h))
     den = float(np.mean(h))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotEllipticError, NotTriangularError, SingularVolError
-from .rng import block_bounds, stream_normals
+from .rng import SEED_LIMIT, block_bounds, stream_normals
 
 EPS_ELLIPTIC = 1e-8
 _INV_TOL = 1e-12
@@ -213,13 +213,24 @@ def simulate_paths(
     n_paths, seed : sample size and master seed.  The output is a pure
         function of (seed, parameters).
 
+    An ``n_paths`` or ``seed`` that is not an integer (a bool is not one)
+    raises TypeError; ``n_paths`` below 1, a seed outside [0, 2**64) and a
+    non-finite ``r`` raise ValueError.
+
     W is kept at every union time, so an integral of piecewise-constant rho
     against W is one W difference per vol piece (``AssetPaths.w_at``).
     """
-    d = vol.dim
-    s0 = initial_assets(s0, d)
+    for name, value in (("n_paths", n_paths), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not -np.inf < r < np.inf:
+        raise ValueError(f"r must be finite, got {r}")
+    d = vol.dim
+    s0 = initial_assets(s0, d)
 
     union = vol.union_times(grid)
     n_union = len(union) - 1

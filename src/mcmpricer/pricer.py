@@ -61,6 +61,7 @@ from .weights import DEN_FLOOR_SCALE, path_weights
 
 METHODS = ("P1", "P2eq", "P2opt", "LS")
 CALIBRATIONS = ("closed", "M1", "M2")
+PAYOFF_KINDS = ("geometric_put", "min_put", "max_call")
 PILOT_QUERIES = 512
 PILOT_SAMPLES = 4096
 # Kernel tiles of QUERY_TILE queries x SAMPLE_TILE samples: 1 MiB of float64
@@ -90,7 +91,7 @@ class Payoff:
     def __post_init__(self):
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
             raise TypeError(f"dim must be an integer, got {self.dim!r}")
-        if self.kind not in ("geometric_put", "min_put", "max_call"):
+        if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("min_put", "max_call") and self.dim != 2:
             raise DimensionMismatchError(f"{self.kind} requires dim=2, got {self.dim}")
@@ -288,6 +289,8 @@ def _dominance_sums(
     ranks wide, and one strip of fewer than w ranks per axis, in front of
     that corner, is checked sample by sample.  The cost is
     O(m log m + n_q d w + (m / w)^d) per column, with w = (m^d / n_q)^(1/(d+1)).
+    At d = 1, w is about 2 ranks, so the grid has about m / 2 cells; its
+    cumsum runs in two levels (``_two_level_cumsum``) to bound the rounding.
     """
     cols = rhs if rhs_sq is None else np.concatenate([rhs, rhs_sq], axis=1)
     n_cols = cols.shape[1]
@@ -313,9 +316,12 @@ def _dominance_sums(
     grid = np.empty(((g + 1) ** d, n_cols))
     for c in range(n_cols):
         grid[:, c] = np.bincount(cell, weights=cols[:, c], minlength=len(grid))
-    cube = grid.reshape(*shape, n_cols)
-    for axis in range(d):
-        np.cumsum(cube, axis=axis, out=cube)
+    if d == 1:
+        _two_level_cumsum(grid)
+    else:
+        cube = grid.reshape(*shape, n_cols)
+        for axis in range(d):
+            np.cumsum(cube, axis=axis, out=cube)
     # whole[j]: the first cell edge at or past start[j]
     whole = [-(-s // width) * width for s in start]
     sums = grid[np.ravel_multi_index([g - e // width for e in whole], shape)]
@@ -343,6 +349,22 @@ def _dominance_sums(
     if rhs_sq is None:
         return sums, None
     return sums[:, : rhs.shape[1]], sums[:, rhs.shape[1]:]
+
+
+def _two_level_cumsum(a: np.ndarray) -> None:
+    """``np.cumsum(a, axis=0, out=a)`` in blocks of about sqrt(len(a)) rows, then over the block totals.
+
+    Each prefix then carries the rounding of about 2 sqrt(len(a)) sequential
+    additions instead of len(a).
+    """
+    n = len(a)
+    size = math.isqrt(n) or 1
+    blocks = np.zeros((-(-n // size) * size, a.shape[1]))
+    blocks[:n] = a
+    cube = blocks.reshape(-1, size, a.shape[1])
+    np.cumsum(cube, axis=1, out=cube)
+    cube[1:] += np.cumsum(cube[:-1, -1], axis=0)[:, None]
+    a[:] = blocks[:n]
 
 
 def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> tuple[QuotientPlan, tuple]:

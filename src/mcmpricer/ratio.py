@@ -119,8 +119,11 @@ def optimal_plan(stats: QuotientStats, n_max: int) -> QuotientPlan:
     """Regime and clamped optimal lambda for one quotient.
 
     The regime compares A^2 sigma2^2 with B^2 sigma1^2; lambda is clamped to
-    [1/n_max, 1] and resolved against n_max.
+    [1/n_max, 1] and resolved against n_max.  An ``n_max`` that is not an
+    integer (a bool is not one) raises TypeError, one below 1 ValueError.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise TypeError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     case1 = prefers_case1(stats)

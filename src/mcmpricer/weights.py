@@ -167,13 +167,14 @@ def raw_continuation(
 
     Returns (numerator mean, denominator mean) of g(S_t) 1_{S_s >= x} w and
     1_{S_s >= x} w with w = Gamma / prod S_s; their quotient estimates
-    E[g(S_t) | S_s = x].  Raises DegenerateDenominatorError when the
+    E[g(S_t) | S_s = x].  Raises ValueError unless ``x`` is componentwise
+    finite and positive, and DegenerateDenominatorError when the
     denominator falls at or below its floor, signalling the caller to fall
     back (never exercise on unsupported regions).
     """
     x = np.broadcast_to(np.asarray(x, dtype=float), (paths.dim,))
-    if np.any(x <= 0.0):
-        raise ValueError("query point must be componentwise positive")
+    if not np.all((0.0 < x) & (x < np.inf)):
+        raise ValueError(f"query point must be componentwise finite and positive, got {x}")
     values = np.asarray(values, dtype=float)
     if values.shape != (paths.n_paths,):
         raise ValueError(f"values must have shape ({paths.n_paths},)")

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import mcmpricer
-from mcmpricer.bench import ENV_THREADS, RunConfig, main, run, scaling_report, sweep
+from mcmpricer.bench import (TABLE_COLUMNS, RunConfig, _add_common, _config_from_args, main, run,
+                             scaling_report, sweep)
 from mcmpricer.errors import ConfigError
 
 
@@ -131,18 +134,20 @@ class TestRunAndSweep:
 
 
 class TestPersistence:
-    def test_write_creates_csv_and_json_mirror(self, tmp_path):
-        table = run(_tiny())
+    def test_write_creates_csv_and_json_mirror(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
-        table.write(str(out))
-        assert out.exists()
+        assert main(["price", "--steps", "3", "--log2-paths", "7", "--replications", "2", "--seed", "11",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
         mirror = json.loads((tmp_path / "table.json").read_text())
-        assert mirror["rows"] == table.rows
+        columns = [c for c in TABLE_COLUMNS if c != "runtime_ms"]
+        want = run(_tiny()).rows
+        assert [[r[c] for c in columns] for r in mirror["rows"]] == [[r[c] for c in columns] for r in want]
 
     def test_identical_config_identical_content(self):
-        a = run(_tiny()).content_key()
-        b = run(_tiny()).content_key()
-        assert a == b
+        a, b = (run(_tiny()).rows for _ in range(2))
+        columns = [c for c in TABLE_COLUMNS if c != "runtime_ms"]
+        assert [[r[c] for c in columns] for r in a] == [[r[c] for c in columns] for r in b]
 
 
 class TestScaling:
@@ -205,19 +210,22 @@ class TestCli:
         rows = json.loads((tmp_path / "t.json").read_text())
         assert [row["degree"] for row in rows] == [1, 1]
 
-    def test_env_var_default_threads(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "3")
-        from mcmpricer.bench import _add_common, _config_from_args
-        import argparse
+    def test_every_flag_sets_a_config_field(self):
+        # _config_from_args keeps only the destinations that are RunConfig fields
         parser = argparse.ArgumentParser()
         _add_common(parser)
-        args = parser.parse_args(["--steps", "2", "--log2-paths", "5", "--replications", "1"])
-        assert _config_from_args(args).threads == 3
+        dests = {action.dest for action in parser._actions} - {"help", "config"}
+        assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+        args = parser.parse_args(["--threads", "3", "--steps", "2", "--no-conditioning"])
+        config = _config_from_args(args)
+        assert (config.threads, config.n_steps, config.conditioning) == (3, 2, False)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--axes", '{"dim": 5}'],
         ["sweep", "--axes", "5"],
         ["scaling", "--degrees", "1,x"],
+        ["price", "--threads", "0"],
+        ["price", "--threads", "-2"],
     ])
     def test_malformed_arguments_exit_one(self, argv, capsys):
         assert main(argv + ["--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
@@ -233,15 +241,8 @@ class TestCli:
         assert main(["price", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_env_threads_exit_one(self, value, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_THREADS, value)
-        assert main(["price", "--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
-        assert "config error" in capsys.readouterr().err
-
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
-        env.pop(ENV_THREADS, None)
         out = subprocess.run(
             [sys.executable, "-m", "mcmpricer", "price", "--steps", "2", "--log2-paths", "6",
              "--replications", "2", "--seed", "4"],

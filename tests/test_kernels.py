@@ -196,6 +196,12 @@ class TestConditionedContinuation:
         with pytest.raises(NotDiagonalError):
             conditioned_continuation(paths, 1, 2, 90.0, g)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_rejects_a_query_that_is_not_finite_and_positive(self, paths_1d_two_dates, x):
+        ones = np.ones(paths_1d_two_dates.n_paths)
+        with pytest.raises(ValueError, match="finite and positive"):
+            conditioned_continuation(paths_1d_two_dates, 1, 2, x, ones)
+
     def test_rao_blackwell_1d(self):
         # matched seeds: conditioning agrees with raw and shrinks the spread
         vol = build_vol(1, 0.2)

@@ -118,6 +118,30 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_paths(vol, TimeGrid(1.0, 2), -5.0, 0.0, 16, seed=1)
 
+    @pytest.mark.parametrize("kw,error,match", [
+        # a truncated or reduced seed would alias another seed's paths
+        ({"seed": 1.5}, TypeError, "seed must be an integer"),
+        ({"seed": True}, TypeError, "seed must be an integer"),
+        ({"seed": 2**64 + 3}, ValueError, "seed must be in"),
+        ({"seed": 2**64}, ValueError, "seed must be in"),
+        ({"seed": -1}, ValueError, "seed must be in"),
+        ({"n_paths": True}, TypeError, "n_paths must be an integer"),
+        ({"n_paths": 16.0}, TypeError, "n_paths must be an integer"),
+        ({"r": float("nan")}, ValueError, "r must be finite"),
+        ({"r": float("inf")}, ValueError, "r must be finite"),
+    ], ids=["seed-float", "seed-bool", "seed-2**64+3", "seed-2**64", "seed-negative", "n_paths-bool",
+            "n_paths-float", "r-nan", "r-inf"])
+    def test_rejects_malformed_counts_seed_and_rate(self, kw, error, match):
+        args = {"r": 0.0, "n_paths": 16, "seed": 1, **kw}
+        with pytest.raises(error, match=match):
+            simulate_paths(build_vol(1, 0.2), TimeGrid(1.0, 2), 100.0, **args)
+
+    def test_numpy_integer_counts_and_seed_are_accepted(self):
+        vol, grid = build_vol(1, 0.2), TimeGrid(1.0, 2)
+        a = simulate_paths(vol, grid, 100.0, 0.0, np.int64(16), seed=np.uint64(2**64 - 1))
+        b = simulate_paths(vol, grid, 100.0, 0.0, 16, seed=2**64 - 1)
+        assert a.s.tobytes() == b.s.tobytes()
+
     def test_w_at_reads_stored_times_only(self):
         spec = {"breaks": [0.0, 0.3, 1.0], "matrices": [[[0.2]], [[0.3]]]}
         paths = simulate_paths(build_vol(1, spec), TimeGrid(1.0, 10), 100.0, 0.0, 8, seed=5)

@@ -681,6 +681,22 @@ class TestDominanceSums:
             for r, g, v in zip((rhs, rhs_sq), got, want):
                 _assert_within_dominance_tolerance(kern, nq, m, r, g, v)
 
+    @pytest.mark.parametrize("seed", [82, 83, 84])
+    def test_d1_rounding_stays_bounded_at_2_16_samples(self, seed):
+        # about m / 2 grid cells at d = 1: a one-level cumsum over them reached 5.8-9.3e-15 here
+        paths = simulate_paths(build_vol(1, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 2**16, seed=seed)
+        payoff = Payoff("geometric_put", 1, 100.0)
+        s_k = paths.s[:, 2, :]
+        kern = pricer._raw_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt")
+        assert kern.engine is pricer._dominance_sums
+        cf, w = payoff(paths.s[:, -1, :]), kern.weight
+        n, n_q = len(cf), kern.n_queries
+        rhs = np.stack([cf * w, w, np.abs(w)], axis=1) / n
+        got, _ = kern.sums(n_q, n, rhs)
+        dense = _full_range_tile_sums(kern, n_q, n, np.concatenate([rhs, np.abs(rhs)], axis=1))[0]
+        want, scale = dense[:, :3], dense[:, 3:]
+        assert np.all(np.abs(got - want) <= 5e-15 * scale)
+
     def test_all_zero_right_hand_side_sums_to_zero(self, raw_kernels):
         for kern, cf in raw_kernels:
             n, n_q = len(cf), kern.n_queries
@@ -1140,6 +1156,20 @@ class TestReplicationPool:
         assert out.returncode == 0 and out.stderr == ""
         assert json.loads(out.stdout) == [True, True]
         assert script.with_suffix(".log").read_text().split() == log
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkserver workers are Linux only")
+    def test_the_server_imports_a_script_that_imports_its_sibling(self, tmp_path):
+        # run as a/s.py from a's parent, the script finds a/helper.py only through its own directory
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "helper.py").write_text("")
+        script = tmp_path / "a" / "s.py"
+        script.write_text(_MAIN_SCRIPT.format(check="import helper"))
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmpricer.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, os.path.join("a", "s.py"), "go"], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout) == [True, True]
+        assert script.with_suffix(".log").read_text().split() == ["__main__", "__mp_main__"]
 
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)

@@ -92,6 +92,15 @@ class TestOptimalPlan:
         assert plan.lam == 1.0 / 8.0
         assert plan.n_prime == 1
 
+    @pytest.mark.parametrize("n_max", [2.5, 2.0, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, n_max):
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            optimal_plan(QuotientStats(2.0, 1.0, 1.0, 1.5, 0.0), n_max=n_max)
+
+    def test_numpy_integer_count_is_accepted(self):
+        stats = QuotientStats(2.0, 1.0, 1.0, 1.5, 0.0)
+        assert optimal_plan(stats, n_max=np.int64(1000)) == optimal_plan(stats, n_max=1000)
+
     def test_regime_consistency(self):
         # the selected regime attains min(Sigma1(l1*), Sigma2(l2*))
         rng = np.random.default_rng(69)

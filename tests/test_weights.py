@@ -177,6 +177,12 @@ class TestRawContinuation:
         with pytest.raises(DegenerateDenominatorError):
             raw_continuation(paths_1d_two_dates, 1, 2, 1e9, g)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_rejects_a_query_that_is_not_finite_and_positive(self, paths_1d_two_dates, x):
+        ones = np.ones(paths_1d_two_dates.n_paths)
+        with pytest.raises(ValueError, match="finite and positive"):
+            raw_continuation(paths_1d_two_dates, 1, 2, x, ones)
+
     def test_weights_do_not_depend_on_query(self, paths_1d_two_dates):
         w1 = path_weights(paths_1d_two_dates, 1, 2)
         w2 = path_weights(paths_1d_two_dates, 1, 2)
