@@ -8,7 +8,7 @@ The CLI exposes three subcommands::
 
 Results are written as CSV (one row per cell) plus a JSON mirror.  Identical
 config and seed produce identical tables up to the runtime columns.
-Exit codes: 0 ok, 1 config error, 2 numerical failure.
+Exit codes: 0 ok (``--help`` too), 1 config or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -233,6 +233,14 @@ def scaling_report(config: RunConfig, degrees: list[int]) -> list[dict]:
 # CLI
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error exiting 1, the code of every other config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=False, help="JSON config file")
     parser.add_argument("--method", choices=METHODS)
@@ -269,7 +277,7 @@ def _emit(csv_text: str, json_text: str, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="mcmpricer", description=__doc__)
+    parser = _Parser(prog="mcmpricer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price one config")

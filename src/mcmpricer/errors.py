@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the input rules that raise them.
+
+Every public entry point checks its arguments with the ``require_*`` rules
+below before any work.  Each rule has one wording, "{name} must be ...,
+got {value!r}": ``require_integer`` (TypeError), ``require_count`` (an
+integer >= 1), ``require_seed`` (an integer in [0, 2**64)),
+``require_positive`` (finite and positive) and ``require_finite``.
+"""
+
+import numpy as np
+
+from .rng import SEED_LIMIT
 
 
 class McmPricerError(Exception):
@@ -55,3 +66,39 @@ class ConfigError(McmPricerError, ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field '{field}': {message}")
+
+
+def require_integer(**values) -> None:
+    """TypeError unless each value is an int or a numpy integer; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def require_count(error: type[ValueError] = ValueError, /, **values) -> None:
+    """``require_integer``, then ``error`` unless each value is at least 1."""
+    require_integer(**values)
+    for name, value in values.items():
+        if value < 1:
+            raise error(f"{name} must be >= 1, got {value!r}")
+
+
+def require_seed(seed) -> None:
+    """``require_integer``, then ValueError unless 0 <= seed < ``rng.SEED_LIMIT`` (2**64)."""
+    require_integer(seed=seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+
+
+def require_positive(**values) -> None:
+    """ValueError unless each value, a scalar or every entry of an array, is finite and positive."""
+    for name, value in values.items():
+        if not np.all((0.0 < value) & (value < np.inf)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_finite(**values) -> None:
+    """ValueError unless each (scalar) value is finite."""
+    for name, value in values.items():
+        if not -np.inf < value < np.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")

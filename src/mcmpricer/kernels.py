@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, NotDiagonalError
+from .errors import DegenerateDenominatorError, NotDiagonalError, require_positive
 from .market_model import AssetPaths, TriangularVol
 
 # A kernel mean at or below this has underflowed: the pricer's engine and
@@ -155,8 +155,7 @@ def conditioned_continuation(
     s, t = float(dates[s_index]), float(dates[t_index])
     params = DiagonalKernelParams.from_model(paths.vol, s, t, paths.rate, paths.s0)
     x = np.broadcast_to(np.asarray(x, dtype=float), (paths.dim,))
-    if not np.all((0.0 < x) & (x < np.inf)):
-        raise ValueError(f"query point must be componentwise finite and positive, got {x}")
+    require_positive(x=x)
     h = kernel_h(params, x, paths.w_at_date(t_index))
     num = float(np.mean(np.asarray(values, dtype=float) * h))
     den = float(np.mean(h))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotEllipticError, NotTriangularError, SingularVolError
-from .rng import SEED_LIMIT, block_bounds, stream_normals
+from .errors import require_count, require_finite, require_integer, require_positive, require_seed
+from .rng import block_bounds, stream_normals
 
 EPS_ELLIPTIC = 1e-8
 _INV_TOL = 1e-12
@@ -29,12 +30,8 @@ class TimeGrid:
     dates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.maturity < np.inf:
-            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
-            raise TypeError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        require_positive(maturity=self.maturity)
+        require_count(n_steps=self.n_steps)
         dates = np.linspace(0.0, float(self.maturity), int(self.n_steps) + 1)
         object.__setattr__(self, "dates", dates)
 
@@ -98,8 +95,10 @@ def build_vol(dim: int, spec, rate: float = 0.0) -> TriangularVol:
       * d x d matrix       -> constant lower-triangular matrix
       * {"breaks": [...], "matrices": [...]} -> piecewise constant matrices
 
+    A ``dim`` that is not an integer raises TypeError, one below 1 ValueError.
     Raises NotTriangularError / NotEllipticError / SingularVolError.
     """
+    require_count(dim=dim)
     if isinstance(spec, dict):
         breaks = np.asarray(spec["breaks"], dtype=float)
         mats = np.asarray(spec["matrices"], dtype=float)
@@ -190,8 +189,7 @@ class AssetPaths:
 def initial_assets(s0, dim: int) -> np.ndarray:
     """``s0`` as a fresh vector of ``dim`` initial asset values, all finite and positive (else ValueError)."""
     s0 = np.broadcast_to(np.asarray(s0, dtype=float), (dim,)).copy()
-    if not np.all((s0 > 0.0) & (s0 < np.inf)):
-        raise ValueError(f"initial asset values must be positive and finite, got {s0}")
+    require_positive(s0=s0)
     return s0
 
 
@@ -220,15 +218,11 @@ def simulate_paths(
     W is kept at every union time, so an integral of piecewise-constant rho
     against W is one W difference per vol piece (``AssetPaths.w_at``).
     """
-    for name, value in (("n_paths", n_paths), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if not -np.inf < r < np.inf:
-        raise ValueError(f"r must be finite, got {r}")
+    # every type check before any range check
+    require_integer(seed=seed)
+    require_count(n_paths=n_paths)
+    require_seed(seed)
+    require_finite(r=r)
     d = vol.dim
     s0 = initial_assets(s0, d)
 

@@ -4,11 +4,11 @@ Under constant vol the geometric mean of the assets is a 1D lognormal with a
 continuous yield (``geometric_equivalent_1d``, the one reduction), so a CRR
 binomial tree prices its American put.  In 1D, the exact conditional
 expectation of a put over one date checks the conditioned estimator's
-quotient.  Every function checks its inputs before any work: a count or
-``dim`` that is not an integer (a bool is not one) raises TypeError; a
-price, vol, time span or query point that is not finite and positive, a
-rate or yield that is not finite, or a seed outside [0, 2**64) raises
-ValueError.
+quotient.  Every function checks its inputs before any work, with the rules
+of ``errors``: a count or ``dim`` that is not an integer (a bool is not one)
+raises TypeError; a count below 1, a price, vol, time span or query point
+that is not finite and positive, a rate or yield that is not finite, or a
+seed outside [0, 2**64) raises ValueError.
 """
 
 from __future__ import annotations
@@ -17,27 +17,9 @@ import math
 
 import numpy as np
 
+from .errors import require_count, require_finite, require_integer, require_positive
 from .kernels import conditioned_continuation
 from .market_model import TimeGrid, build_vol, simulate_paths
-from .rng import SEED_LIMIT
-
-
-def _require_integer(**counts) -> None:
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_positive(**values) -> None:
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +38,7 @@ def geometric_equivalent_1d(dim: int, vol_spec) -> tuple[float, float]:
     dividend-like yield.  For d independent assets of equal vol sigma that
     is sigma_G = sigma / sqrt(d) and q = (sigma^2 - sigma_G^2) / 2.
     """
-    _require_integer(dim=dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    require_count(dim=dim)
     if isinstance(vol_spec, dict):
         raise ValueError("the geometric reduction needs a constant vol spec, got a piecewise one")
     vol = build_vol(dim, vol_spec).mats[0]
@@ -76,11 +56,9 @@ def tree_american_put(
     taken once, so each backward step costs O(i) multiplies and no ``pow``;
     the values are bitwise those of taking the powers at every step.
     """
-    _require_integer(n_tree_steps=n_tree_steps)
-    if n_tree_steps < 1:
-        raise ValueError(f"n_tree_steps must be >= 1, got {n_tree_steps}")
-    _require_positive(s0=s0, strike=strike, sigma=sigma, maturity=maturity)
-    _require_finite(r=r, q=q)
+    require_count(n_tree_steps=n_tree_steps)
+    require_positive(s0=s0, strike=strike, sigma=sigma, maturity=maturity)
+    require_finite(r=r, q=q)
     dt = maturity / n_tree_steps
     up = np.exp(sigma * np.sqrt(dt))
     dn = 1.0 / up
@@ -132,8 +110,8 @@ def tree_converged(dim: int, strike: float, s0: float, r: float, sigma, maturity
 
 def lognormal_conditional_put(x: float, strike: float, r: float, sigma: float, dt: float) -> float:
     """Exact E[(K - S_t)_+ | S_s = x] for the 1D lognormal with drift r."""
-    _require_positive(x=x, strike=strike, sigma=sigma, dt=dt)
-    _require_finite(r=r)
+    require_positive(x=x, strike=strike, sigma=sigma, dt=dt)
+    require_finite(r=r)
     d1 = (np.log(x / strike) + (r + 0.5 * sigma**2) * dt) / (sigma * np.sqrt(dt))
     d2 = d1 - sigma * np.sqrt(dt)
     return float(strike * _norm_cdf(-d2) - x * np.exp(r * dt) * _norm_cdf(-d1))
@@ -152,9 +130,7 @@ def conditional_expectation_check(x: float, n_paths: int = 2**18, seed: int = 20
     the conditioned estimator with shared numerator/denominator paths
     (equal counts) on a two-date grid.
     """
-    _require_integer(n_paths=n_paths, seed=seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    require_integer(n_paths=n_paths, seed=seed)
     strike, sigma, r = 100.0, 0.2, float(np.log(1.1))
     # the oracle first: it checks x before any path is drawn
     oracle = lognormal_conditional_put(x, strike, r, sigma, 0.5)

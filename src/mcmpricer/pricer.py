@@ -44,6 +44,7 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError
+from .errors import require_count, require_finite, require_integer, require_positive, require_seed
 from .kernels import (
     KERNEL_DEN_FLOOR,
     DiagonalKernelParams,
@@ -54,9 +55,8 @@ from .kernels import (
     sample_features,
 )
 from .market_model import AssetPaths, TimeGrid, build_vol, initial_assets, simulate_paths
-from .oracles import tree_converged  # the acceptance suite imports it from this module
 from .ratio import QuotientPlan, m2_fixed_point, pooled_plan
-from .rng import SEED_LIMIT, replication_seed
+from .rng import replication_seed
 from .weights import DEN_FLOOR_SCALE, path_weights
 
 METHODS = ("P1", "P2eq", "P2opt", "LS")
@@ -89,16 +89,13 @@ class Payoff:
     strike: float
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
-            raise TypeError(f"dim must be an integer, got {self.dim!r}")
+        require_integer(dim=self.dim)
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.kind in ("min_put", "max_call") and self.dim != 2:
             raise DimensionMismatchError(f"{self.kind} requires dim=2, got {self.dim}")
-        if self.dim < 1:
-            raise DimensionMismatchError(f"dim must be >= 1, got {self.dim}")
-        if not 0.0 < self.strike < math.inf:
-            raise ValueError(f"strike must be positive and finite, got {self.strike}")
+        require_count(DimensionMismatchError, dim=self.dim)
+        require_positive(strike=self.strike)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return evaluate_payoff(self, s)
@@ -758,19 +755,11 @@ def price_mcm(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if calibration not in CALIBRATIONS:
         raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
-    if not -math.inf < r < math.inf:
-        raise ValueError(f"r must be finite, got {r}")
-    counts = {"n_steps": n_steps, "n_paths": n_paths, "replications": replications,
-              "n_workers": n_workers, "seed": seed}
-    not_int = [f"{name}={value!r}" for name, value in counts.items()
-               if isinstance(value, bool) or not isinstance(value, (int, np.integer))]
-    if not_int:
-        raise TypeError(f"counts must be integers, got {', '.join(not_int)}")
-    if replications < 1 or n_workers < 1 or n_paths < 1:
-        raise ValueError(f"replications, n_workers and n_paths must be >= 1, "
-                         f"got {replications}, {n_workers} and {n_paths}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    require_finite(r=r)
+    # every type check before any range check
+    require_integer(n_steps=n_steps, seed=seed)
+    require_count(n_paths=n_paths, replications=replications, n_workers=n_workers)
+    require_seed(seed)
     vol = build_vol(payoff.dim, vol_spec)
     grid = TimeGrid(maturity, n_steps)
     initial_assets(s0, vol.dim)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DenominatorMeanNearZeroError
+from .errors import DenominatorMeanNearZeroError, require_count
 
 M2_MAX_ITER = 50
 M2_EPS = 1e-3
@@ -122,10 +122,7 @@ def optimal_plan(stats: QuotientStats, n_max: int) -> QuotientPlan:
     [1/n_max, 1] and resolved against n_max.  An ``n_max`` that is not an
     integer (a bool is not one) raises TypeError, one below 1 ValueError.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise TypeError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    require_count(n_max=n_max)
     case1 = prefers_case1(stats)
     return _resolve(stats, case1, lambda_min(stats, case1), n_max)
 

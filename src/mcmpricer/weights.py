@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DimensionTooLargeError, SIndexZeroError
+from .errors import DegenerateDenominatorError, DimensionTooLargeError, SIndexZeroError, require_positive
 from .market_model import AssetPaths, TriangularVol
 
 DEN_FLOOR_SCALE = 1e-12
@@ -173,8 +173,7 @@ def raw_continuation(
     back (never exercise on unsupported regions).
     """
     x = np.broadcast_to(np.asarray(x, dtype=float), (paths.dim,))
-    if not np.all((0.0 < x) & (x < np.inf)):
-        raise ValueError(f"query point must be componentwise finite and positive, got {x}")
+    require_positive(x=x)
     values = np.asarray(values, dtype=float)
     if values.shape != (paths.n_paths,):
         raise ValueError(f"values must have shape ({paths.n_paths},)")

@@ -30,7 +30,7 @@ from mcmpricer import (
     simulate_paths,
 )
 from mcmpricer.market_model import TimeGrid
-from mcmpricer.pricer import tree_converged
+from mcmpricer.oracles import tree_converged
 from mcmpricer.ratio import lambda_min, optimal_plan, p2_preferred, prefers_case1
 
 BENCH_RATE = float(np.log(1.1))

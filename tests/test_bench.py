@@ -231,6 +231,19 @@ class TestCli:
         assert main(argv + ["--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["price", "--threads", "abc"], 1),
+        (["price", "--dim", "1.5"], 1),
+        (["sweep"], 1),
+        (["price", "--help"], 0),
+    ])
+    def test_usage_errors_exit_one_and_help_exits_zero(self, argv, code, capsys):
+        # argparse's own code for a usage error is 2, the code of a numerical failure
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert ("error:" in capsys.readouterr().err) == (code == 1)
+
     @pytest.mark.parametrize("data", [
         {"n_steps": 2.5}, {"replications": 2.0}, {"seed": "x"}, {"m2_eps": 0.001},
         {"conditioning": "no"}, {"out": 5},

@@ -39,6 +39,16 @@ class TestBuildVol:
         expected = np.array([[5.0, 0.0], [-2.5, 5.0]])
         np.testing.assert_allclose(tri_vol_2d.invs[0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dim,error,match", [
+        (0, ValueError, "dim must be >= 1, got 0"),
+        (-1, ValueError, "dim must be >= 1, got -1"),
+        (True, TypeError, "dim must be an integer, got True"),
+        (2.5, TypeError, r"dim must be an integer, got 2\.5"),
+    ])
+    def test_rejects_a_dim_that_is_not_a_count(self, dim, error, match):
+        with pytest.raises(error, match=match):
+            build_vol(dim, 0.2)
+
     def test_zero_diagonal_not_elliptic(self):
         with pytest.raises(NotEllipticError):
             build_vol(2, [[0.2, 0.0], [0.1, 0.0]])

@@ -1023,7 +1023,7 @@ class TestReplicationPool:
 
         monkeypatch.setattr(pricer, "simulate_paths", started)
         monkeypatch.setattr(multiprocessing, "get_context", started)
-        with pytest.raises(ValueError, match="replications, n_workers and n_paths must be >= 1"):
+        with pytest.raises(ValueError, match=r"(replications|n_workers|n_paths) must be >= 1, got -?\d+"):
             price_mcm(Payoff("geometric_put", 1, 100.0), 0.2, 1.0, 2, 100.0, 0.0, n_paths, 1,
                       method=method, replications=replications, n_workers=n_workers)
         assert multiprocessing.active_children() == []
@@ -1034,33 +1034,33 @@ class TestReplicationPool:
         ([[0.2, 0.0], [0.1, 0.2]], {"method": "P1"}, NotDiagonalError, "P1 needs"),
         ([[0.2, 0.1], [0.0, 0.2]], {}, NotTriangularError, "must vanish"),
         ([0.2, 0.2, 0.2], {}, ValueError, "expected 2 diagonal entries"),
-        (0.2, {"s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (0.2, {"s0": -1.0}, ValueError, "s0 must be positive and finite"),
         (0.2, {"s0": [100.0] * 3}, ValueError, "could not be broadcast"),
         (SHORT_VOL, {}, ValueError, "vol spec covers up to t=0.5"),
         ([[0.2, 0.1], [0.0, 0.2]], {"method": "LS"}, NotTriangularError, "must vanish"),
         ([0.2, 0.2, 0.2], {"method": "LS"}, ValueError, "expected 2 diagonal entries"),
-        (0.2, {"method": "LS", "s0": -1.0}, ValueError, "initial asset values must be positive"),
+        (0.2, {"method": "LS", "s0": -1.0}, ValueError, "s0 must be positive and finite"),
         (SHORT_VOL, {"method": "LS"}, ValueError, "vol spec covers up to t=0.5"),
         (0.2, {"method": "LS", "calibration": "fancy"}, ValueError, "calibration must be one of"),
         (0.2, {"r": np.nan}, ValueError, "r must be finite"),
         (0.2, {"r": np.inf}, ValueError, "r must be finite"),
-        (0.2, {"s0": np.inf}, ValueError, "initial asset values must be positive"),
-        (0.2, {"s0": np.nan}, ValueError, "initial asset values must be positive"),
+        (0.2, {"s0": np.inf}, ValueError, "s0 must be positive and finite"),
+        (0.2, {"s0": np.nan}, ValueError, "s0 must be positive and finite"),
         (0.2, {"maturity": np.nan}, ValueError, "maturity must be positive"),
         (0.2, {"method": "LS", "r": np.nan}, ValueError, "r must be finite"),
-        (0.2, {"n_steps": 2.5}, TypeError, r"counts must be integers, got n_steps=2.5"),
-        (0.2, {"n_paths": 100.5}, TypeError, r"counts must be integers, got n_paths=100.5"),
-        (0.2, {"replications": 2.0}, TypeError, r"counts must be integers, got replications=2.0"),
-        (0.2, {"n_workers": 2.0}, TypeError, r"counts must be integers, got n_workers=2.0"),
-        (0.2, {"n_steps": True}, TypeError, r"counts must be integers, got n_steps=True"),
-        (0.2, {"n_workers": True}, TypeError, r"counts must be integers, got n_workers=True"),
-        (0.2, {"method": "LS", "n_paths": 64.0}, TypeError, r"counts must be integers, got n_paths=64.0"),
-        (0.2, {"seed": 1.9}, TypeError, r"counts must be integers, got seed=1.9"),
-        (0.2, {"seed": True}, TypeError, r"counts must be integers, got seed=True"),
-        (0.2, {"seed": "7"}, TypeError, r"counts must be integers, got seed='7'"),
-        (0.2, {"seed": np.nan}, TypeError, r"counts must be integers, got seed=nan"),
-        (0.2, {"seed": None}, TypeError, r"counts must be integers, got seed=None"),
-        (0.2, {"method": "LS", "seed": 1.0}, TypeError, r"counts must be integers, got seed=1.0"),
+        (0.2, {"n_steps": 2.5}, TypeError, r"n_steps must be an integer, got 2\.5"),
+        (0.2, {"n_paths": 100.5}, TypeError, r"n_paths must be an integer, got 100\.5"),
+        (0.2, {"replications": 2.0}, TypeError, r"replications must be an integer, got 2\.0"),
+        (0.2, {"n_workers": 2.0}, TypeError, r"n_workers must be an integer, got 2\.0"),
+        (0.2, {"n_steps": True}, TypeError, r"n_steps must be an integer, got True"),
+        (0.2, {"n_workers": True}, TypeError, r"n_workers must be an integer, got True"),
+        (0.2, {"method": "LS", "n_paths": 64.0}, TypeError, r"n_paths must be an integer, got 64\.0"),
+        (0.2, {"seed": 1.9}, TypeError, r"seed must be an integer, got 1\.9"),
+        (0.2, {"seed": True}, TypeError, r"seed must be an integer, got True"),
+        (0.2, {"seed": "7"}, TypeError, r"seed must be an integer, got '7'"),
+        (0.2, {"seed": np.nan}, TypeError, r"seed must be an integer, got nan"),
+        (0.2, {"seed": None}, TypeError, r"seed must be an integer, got None"),
+        (0.2, {"method": "LS", "seed": 1.0}, TypeError, r"seed must be an integer, got 1\.0"),
         (0.2, {"seed": -1}, ValueError, r"seed must be in \[0, 2\*\*64\), got -1"),
         (0.2, {"seed": 2**64}, ValueError, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
         (0.2, {"seed": 2**64 + 5}, ValueError, r"seed must be in \[0, 2\*\*64\), got 18446744073709551621"),

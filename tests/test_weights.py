@@ -180,7 +180,7 @@ class TestRawContinuation:
     @pytest.mark.parametrize("x", [np.nan, np.inf])
     def test_rejects_a_query_that_is_not_finite_and_positive(self, paths_1d_two_dates, x):
         ones = np.ones(paths_1d_two_dates.n_paths)
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
             raw_continuation(paths_1d_two_dates, 1, 2, x, ones)
 
     def test_weights_do_not_depend_on_query(self, paths_1d_two_dates):
