@@ -21,19 +21,23 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, McmPricerError, NonDeterministicResultError, NotDiagonalError
-from .market_model import build_vol
-from .pricer import CALIBRATIONS, METHODS, PAYOFF_KINDS, Payoff, price_mcm
-from .rng import SEED_LIMIT
+from .errors import ConfigError, DimensionMismatchError, McmPricerError, NonDeterministicResultError
+from .errors import require_integer
+from .pricer import CALIBRATIONS, METHODS, PAYOFF_KINDS, Payoff, _resolve, price_mcm
 
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
+# The JSON mirror's rows also name the estimator that ran
+ROW_COLUMNS = (*TABLE_COLUMNS, "conditioning", "calibration")
 SCALING_COLUMNS = ("degree", "runtime_ms", "speedup", "price", "std")
-NUMBER_FIELDS = {**dict.fromkeys(("dim", "n_steps", "log2_paths", "replications", "seed", "threads"), Integral),
-                 **dict.fromkeys(("strike", "maturity", "rate", "s0"), Real)}
+# The fields the library takes as real numbers without checking their type; it checks the integers
+NUMBER_FIELDS = ("strike", "maturity", "rate", "s0")
+# The config field of each price_mcm argument (or Payoff's kind) named otherwise
+CONFIG_FIELDS = {"r": "rate", "n_workers": "threads", "n_paths": "log2_paths", "vol_spec": "vol",
+                 "kind": "payoff"}
 
 
 @dataclass(frozen=True)
@@ -58,45 +62,45 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        for name, kind in NUMBER_FIELDS.items():
+        """Check what only the CLI has, then the rest through the library; returns self.
+
+        The CLI checks the JSON types of the fields the library takes
+        unchecked and the range of log2_paths.  Then the library builds the
+        payoff and resolves the pricing call, and its error becomes a
+        ConfigError for the field it names (CONFIG_FIELDS): an error that
+        names no argument is a "payoff" dimension mismatch or else a "vol"
+        that does not build, does not cover the maturity or has no closed
+        forms for P1.
+        """
+        for name in NUMBER_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not -np.inf < value < np.inf:
-                raise ConfigError(name, f"must be a finite {kind.__name__.lower()} number, got {value!r}")
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigError(name, f"must be a number, got {value!r}")
         if not isinstance(self.conditioning, bool):
             raise ConfigError("conditioning", f"must be true or false, got {self.conditioning!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", f"must be a path string or null, got {self.out!r}")
-        if self.method not in METHODS:
-            raise ConfigError("method", f"must be one of {METHODS}, got {self.method!r}")
-        if self.calibration not in CALIBRATIONS:
-            raise ConfigError("calibration", f"must be one of {CALIBRATIONS}, got {self.calibration!r}")
-        for name in ("strike", "maturity"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(name, "must be positive")
-        for name in ("dim", "n_steps", "replications", "threads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be >= 1")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ConfigError("seed", "must be in [0, 2**64)")
-        if not 0 <= self.log2_paths <= 26:
-            raise ConfigError("log2_paths", "must be in [0, 26]")
-        if self.rate < 0:
-            raise ConfigError("rate", "must be nonnegative")
-        if self.s0 <= 0:
-            raise ConfigError("s0", "must be positive")
+        # the CLI's encoding of n_paths = 2**log2_paths: [0, 26] bounds the shift before any
+        # allocation.  Membership is equality, so True and 2.0 pass, and require_integer rejects them
+        if self.log2_paths not in range(27):
+            raise ConfigError("log2_paths", f"must be an integer in [0, 26], got {self.log2_paths!r}")
         try:
-            Payoff(kind=self.payoff, dim=self.dim, strike=self.strike)
-        except (ValueError, McmPricerError) as exc:
-            raise ConfigError("payoff", str(exc)) from exc
-        try:
-            build_vol(self.dim, self.vol).overlaps(0.0, self.maturity)
+            require_integer(log2_paths=self.log2_paths)
+            _resolve(*self.price_args())
         except (ValueError, TypeError, KeyError, McmPricerError) as exc:
-            raise ConfigError("vol", f"{type(exc).__name__}: {exc}") from exc
+            name = getattr(exc, "argument", "payoff" if isinstance(exc, DimensionMismatchError) else "vol")
+            raise ConfigError(CONFIG_FIELDS.get(name, name), f"{type(exc).__name__}: {exc}") from exc
         return self
 
     @property
     def n_paths(self) -> int:
         return 1 << self.log2_paths
+
+    def price_args(self) -> tuple:
+        """The arguments of ``price_mcm``, in its order, the payoff built from its three fields."""
+        return (Payoff(kind=self.payoff, dim=self.dim, strike=self.strike), self.vol, self.maturity,
+                self.n_steps, self.s0, self.rate, self.n_paths, self.seed, self.method, self.conditioning,
+                self.replications, self.threads, self.calibration)
 
     @classmethod
     def from_json(cls, path: str, overrides: dict | None = None) -> "RunConfig":
@@ -121,7 +125,7 @@ class PriceTable:
     failures: list[dict] = field(default_factory=list)
 
     def add(self, **row) -> None:
-        self.rows.append({c: row[c] for c in TABLE_COLUMNS})
+        self.rows.append({c: row[c] for c in ROW_COLUMNS})
 
     def sort(self) -> None:
         self.rows.sort(key=lambda r: (r["method"], r["payoff"], r["dim"], r["steps"], r["paths"]))
@@ -135,30 +139,25 @@ class PriceTable:
 
 def _csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
 
 
 def _run_cell(config: RunConfig) -> dict:
-    payoff = Payoff(kind=config.payoff, dim=config.dim, strike=config.strike)
-    est = price_mcm(
-        payoff, config.vol, config.maturity, config.n_steps, config.s0, config.rate,
-        config.n_paths, config.seed, method=config.method, conditioning=config.conditioning,
-        replications=config.replications, n_workers=config.threads, calibration=config.calibration,
-    )
+    est = price_mcm(*config.validate().price_args())
     return {
         "method": config.method, "payoff": config.payoff, "dim": config.dim,
         "steps": config.n_steps, "paths": config.n_paths,
         "price": est.price, "std": est.std, "fallbacks": est.fallbacks,
         "runtime_ms": est.runtime_s * 1e3, "values": est.values,
+        "conditioning": est.conditioning, "calibration": est.calibration,
     }
 
 
 def run(config: RunConfig) -> PriceTable:
-    """Execute one validated config; emits a single-row table."""
-    config.validate()
+    """Validate and price one config; emits a single-row table."""
     cell = _run_cell(config)
     if config.replications == 1:
         sys.stderr.write("warning: replications=1, std dev reported as 0\n")
@@ -187,7 +186,6 @@ def sweep(config: RunConfig, axes: dict[str, list]) -> PriceTable:
     for values in product(*(axes[n] for n in names)):
         cfg = replace(config, **dict(zip(fields, values)))
         try:
-            cfg.validate()
             cell = _run_cell(cfg)
         except (McmPricerError, ValueError) as exc:
             table.failures.append({"cell": dict(zip(names, values)), "error": str(exc)})
@@ -204,7 +202,6 @@ def scaling_report(config: RunConfig, degrees: list[int]) -> list[dict]:
     NonDeterministicResultError when any degree disagrees bitwise on the
     replication values.
     """
-    config.validate()
     if not degrees or any(d < 1 for d in degrees):
         raise ConfigError("degrees", "must be a nonempty list of integers >= 1")
     rows = []
@@ -312,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("degrees", f"must be comma-separated integers: {exc}") from exc
             rows = scaling_report(config, degrees)
             _emit(_csv_text(SCALING_COLUMNS, rows), json.dumps(rows, indent=2), config.out)
-    except (ConfigError, NotDiagonalError) as exc:
-        # NotDiagonalError reaches here only from price_mcm's check of P1 before any work
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except McmPricerError as exc:

@@ -4,7 +4,10 @@ Every public entry point checks its arguments with the ``require_*`` rules
 below before any work.  Each rule has one wording, "{name} must be ...,
 got {value!r}": ``require_integer`` (TypeError), ``require_count`` (an
 integer >= 1), ``require_seed`` (an integer in [0, 2**64)),
-``require_positive`` (finite and positive) and ``require_finite``.
+``require_positive`` (finite and positive), ``require_finite`` and
+``require_choice`` (one of a fixed set).  The error a rule raises names the
+argument in its ``argument`` attribute, so a caller such as the CLI can tell
+which input was rejected without reading the message.
 """
 
 import numpy as np
@@ -68,11 +71,18 @@ class ConfigError(McmPricerError, ValueError):
         super().__init__(f"config field '{field}': {message}")
 
 
+def _named(error: type[Exception], name: str, message: str) -> Exception:
+    """``error(message)`` with ``argument`` set to ``name``, the argument it rejects."""
+    exc = error(message)
+    exc.argument = name
+    return exc
+
+
 def require_integer(**values) -> None:
     """TypeError unless each value is an int or a numpy integer; a bool is not one."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+            raise _named(TypeError, name, f"{name} must be an integer, got {value!r}")
 
 
 def require_count(error: type[ValueError] = ValueError, /, **values) -> None:
@@ -80,25 +90,32 @@ def require_count(error: type[ValueError] = ValueError, /, **values) -> None:
     require_integer(**values)
     for name, value in values.items():
         if value < 1:
-            raise error(f"{name} must be >= 1, got {value!r}")
+            raise _named(error, name, f"{name} must be >= 1, got {value!r}")
 
 
 def require_seed(seed) -> None:
     """``require_integer``, then ValueError unless 0 <= seed < ``rng.SEED_LIMIT`` (2**64)."""
     require_integer(seed=seed)
     if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+        raise _named(ValueError, "seed", f"seed must be in [0, 2**64), got {seed!r}")
 
 
 def require_positive(**values) -> None:
     """ValueError unless each value, a scalar or every entry of an array, is finite and positive."""
     for name, value in values.items():
         if not np.all((0.0 < value) & (value < np.inf)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise _named(ValueError, name, f"{name} must be positive and finite, got {value!r}")
 
 
 def require_finite(**values) -> None:
     """ValueError unless each (scalar) value is finite."""
     for name, value in values.items():
         if not -np.inf < value < np.inf:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise _named(ValueError, name, f"{name} must be finite, got {value!r}")
+
+
+def require_choice(choices: tuple, **values) -> None:
+    """ValueError unless each value is one of ``choices``."""
+    for name, value in values.items():
+        if value not in choices:
+            raise _named(ValueError, name, f"{name} must be one of {choices}, got {value!r}")

@@ -43,7 +43,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError
+from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError, require_choice
 from .errors import require_count, require_finite, require_integer, require_positive, require_seed
 from .kernels import (
     KERNEL_DEN_FLOOR,
@@ -90,8 +90,7 @@ class Payoff:
 
     def __post_init__(self):
         require_integer(dim=self.dim)
-        if self.kind not in PAYOFF_KINDS:
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
+        require_choice(PAYOFF_KINDS, kind=self.kind)
         if self.kind in ("min_put", "max_call") and self.dim != 2:
             raise DimensionMismatchError(f"{self.kind} requires dim=2, got {self.dim}")
         require_count(DimensionMismatchError, dim=self.dim)
@@ -122,6 +121,8 @@ class PriceEstimate:
     ``price`` is the mean of the R replication ``values``.  ``std`` is their
     population standard deviation (ddof = 0): the spread of one replication,
     not the standard error of ``price``, which is std / sqrt(R - 1).
+    ``conditioning`` and ``calibration`` name the estimator that ran, as
+    ``price_mcm`` resolved it, which can differ from what was asked.
     """
 
     price: float
@@ -129,6 +130,8 @@ class PriceEstimate:
     values: tuple[float, ...]
     fallbacks: int
     runtime_s: float
+    conditioning: bool | None = None
+    calibration: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,8 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> tuple[Quo
         return plan, pilot
 
     def replan(plan):
-        # re-estimate the split-dependent mean on the first lambda * m samples
+        # re-estimate the split-dependent mean on the first lambda * m samples;
+        # the next round carries the other one over
         nonlocal a, b
         msub = min(m, max(2, round(plan.lam * m)))
         col = cfw if plan.regime == "case1" else w
@@ -421,7 +425,8 @@ def _date_plan(kern: _DateKernel, cf: np.ndarray, calibration: str) -> tuple[Quo
             a = mean
         else:
             b = mean
-        return pooled_plan(a, b, s1, s2, rho, n)
+        new = pooled_plan(a, b, s1, s2, rho, n)
+        return new, (b if new.regime == "case1" else a).tobytes()
 
     return m2_fixed_point(plan, replan), pilot
 
@@ -548,6 +553,38 @@ def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
     """Simulate replication ``rep`` and run ``sweep(paths, payoff)`` on it."""
     paths = simulate_paths(vol, grid, s0, r, n_paths, replication_seed(seed, rep))
     return sweep(paths, payoff)
+
+
+def _resolve(payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, method, conditioning,
+             replications, n_workers, calibration) -> tuple[partial, bool, str]:
+    """Check every argument of ``price_mcm`` and decide its estimator, once, before any work.
+
+    Returns the job that ``_replicate`` runs, a partial of
+    ``_one_replication``, and the ``conditioning`` and ``calibration`` it
+    runs with (they do not apply to LS).  Raises what ``price_mcm``
+    documents.
+    """
+    require_choice(METHODS, method=method)
+    require_choice(CALIBRATIONS, calibration=calibration)
+    require_finite(r=r)
+    # every type check before any range check
+    require_integer(n_steps=n_steps, seed=seed)
+    require_count(n_paths=n_paths, replications=replications, n_workers=n_workers)
+    require_seed(seed)
+    vol = build_vol(payoff.dim, vol_spec)
+    grid = TimeGrid(maturity, n_steps)
+    initial_assets(s0, vol.dim)
+    vol.overlaps(0.0, grid.maturity)
+    closed_forms = vol.is_diagonal and vol.is_constant
+    if method == "P1" and not closed_forms:
+        raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
+    conditioning = conditioning and closed_forms
+    calibration = "M1" if calibration == "closed" and not conditioning else calibration
+    continuation = _ls_continuation if method == "LS" else partial(
+        _mcm_continuation, method=method, conditioning=conditioning, calibration=calibration)
+    sweep = partial(_backward_induction, continuation=continuation)
+    job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
+    return job, conditioning, calibration
 
 
 # The directory that holds the package: the forkserver imports the package from it
@@ -736,42 +773,23 @@ def price_mcm(
     "LS" is the Longstaff-Schwartz regression: cubic monomials in s / strike
     for d = 1, linear in the assets otherwise.  ``conditioning`` and
     ``calibration`` do not apply to it.  For P1, P2eq and P2opt the
-    estimator is decided here, once per call: the closed-form kernel and its
-    moments exist only for constant diagonal vol, so elsewhere
-    ``conditioning`` is off and the raw estimator runs.  ``calibration`` sets
-    how P2opt splits its samples, and does not apply to P1 or P2eq: "closed"
-    uses the closed moments where the kernel has them and the M1 pilot
-    otherwise; "M1" and "M2" run the pilots.  An unknown ``method`` or
-    ``calibration``, a malformed ``vol_spec`` or one that ends before
-    ``maturity``, P1 on vol that is not constant diagonal
+    estimator is decided once per call, before any work (``_resolve``), and
+    the estimate names the ``conditioning`` and ``calibration`` that ran: the
+    closed-form kernel and its moments exist only for constant diagonal vol,
+    so elsewhere ``conditioning`` is off and the raw estimator runs.
+    ``calibration`` sets how P2opt splits its samples, and does not apply to
+    P1 or P2eq: "closed" uses the closed moments where the kernel has them,
+    and becomes "M1", the pilot, otherwise; "M1" and "M2" run the pilots.
+    An unknown ``method`` or ``calibration``, a malformed ``vol_spec`` or
+    one that ends before ``maturity``, P1 on vol that is not constant diagonal
     (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and
     positive, a non-finite ``r``, an ``n_steps``, ``n_paths``,
     ``replications``, ``n_workers`` or ``seed`` that is not an integer (a
     bool is not), ``replications``, ``n_workers`` or ``n_paths`` below 1,
     and a ``seed`` outside [0, 2**64) raise before any path or worker
-    starts.
+    starts; a rule's error names its argument (``errors``).
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if calibration not in CALIBRATIONS:
-        raise ValueError(f"calibration must be one of {CALIBRATIONS}, got {calibration!r}")
-    require_finite(r=r)
-    # every type check before any range check
-    require_integer(n_steps=n_steps, seed=seed)
-    require_count(n_paths=n_paths, replications=replications, n_workers=n_workers)
-    require_seed(seed)
-    vol = build_vol(payoff.dim, vol_spec)
-    grid = TimeGrid(maturity, n_steps)
-    initial_assets(s0, vol.dim)
-    vol.overlaps(0.0, grid.maturity)
-    closed_forms = vol.is_diagonal and vol.is_constant
-    if method == "P1" and not closed_forms:
-        raise NotDiagonalError("P1 needs the closed-form denominator (diagonal constant vol)")
-    conditioning = conditioning and closed_forms
-    calibration = "M1" if calibration == "closed" and not conditioning else calibration
-    continuation = _ls_continuation if method == "LS" else partial(
-        _mcm_continuation, method=method, conditioning=conditioning, calibration=calibration)
-    sweep = partial(_backward_induction, continuation=continuation)
-    job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
-    return _replicate(job, replications, n_workers)
-
+    job, conditioning, calibration = _resolve(payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed,
+                                              method, conditioning, replications, n_workers, calibration)
+    return replace(_replicate(job, replications, n_workers), conditioning=conditioning,
+                   calibration=calibration)

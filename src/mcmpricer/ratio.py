@@ -139,18 +139,29 @@ def _resolve(stats: QuotientStats, case1: bool, lam: float, n_max: int) -> Quoti
     return QuotientPlan("case1" if case1 else "case2", lam, float(sigma), n, n_prime)
 
 
-def m2_fixed_point(plan: QuotientPlan, replan: Callable[[QuotientPlan], QuotientPlan]) -> QuotientPlan:
+def m2_fixed_point(plan: QuotientPlan, replan: Callable[[QuotientPlan], tuple]) -> QuotientPlan:
     """The M2 fixed point: repeat plan = replan(plan) until lambda settles.
 
     ``replan`` re-estimates the split-dependent mean (A in case 1, B in
     case 2) on lambda times the pilot's samples and returns the plan it
-    resolves to.  The first plan whose lambda moves by less than M2_EPS is
-    returned; after M2_MAX_ITER rounds, the last plan flagged converged=False.
+    resolves to, with a hashable of the other mean, which the next round
+    carries over.  The first plan whose lambda moves by less than M2_EPS is
+    returned.  A round is a function of its plan and the carried mean, so
+    once that pair repeats the rounds cycle and lambda never settles: the
+    loop stops there and returns the plan of the cycle that M2_MAX_ITER
+    rounds end on, flagged converged=False.  A sequence that never repeats
+    stops after M2_MAX_ITER rounds on its last plan, flagged the same.
     """
-    for _ in range(M2_MAX_ITER):
-        new = replan(plan)
+    seen = {}    # (plan, carried) -> the round, counted from 0, that returned it
+    for i in range(M2_MAX_ITER):
+        new, carried = replan(plan)
         if abs(new.lam - plan.lam) < M2_EPS:
             return new
+        first = seen.setdefault((new, carried), i)
+        if first < i:
+            # rounds first..i-1 repeat with period i - first; take the plan the last round returns
+            plan = list(seen)[first + (M2_MAX_ITER - 1 - first) % (i - first)][0]
+            break
         plan = new
     return replace(plan, converged=False)
 

@@ -72,6 +72,21 @@ class TestRunConfig:
             RunConfig(seed=seed).validate()
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"method": "P9"}, "method"), ({"calibration": "fancy"}, "calibration"),
+        ({"payoff": "put"}, "payoff"),
+        ({"dim": 0}, "dim"), ({"strike": 0.0}, "strike"), ({"maturity": -1.0}, "maturity"),
+        ({"s0": float("inf")}, "s0"), ({"rate": float("inf")}, "rate"), ({"n_steps": 0}, "n_steps"),
+        ({"replications": -1}, "replications"), ({"threads": 0}, "threads"), ({"seed": True}, "seed"),
+        ({"log2_paths": -1}, "log2_paths"), ({"log2_paths": 27}, "log2_paths"),
+        ({"log2_paths": 2.0}, "log2_paths"),
+        ({"method": "P1", "payoff": "min_put", "dim": 2, "vol": [[0.2, 0.0], [0.1, 0.2]]}, "vol"),
+    ])
+    def test_library_error_names_the_config_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**overrides).validate()
+        assert err.value.field == field
+
     def test_from_json_unknown_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dimension": 2}))
@@ -185,6 +200,22 @@ class TestCli:
                                     "n_steps": 2, "log2_paths": 5, "replications": 1}))
         assert main(["price", "--config", str(path), "--method", "P1"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_rate_prices(self, tmp_path, capsys):
+        # the model holds for any finite rate, and the library prices one
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rate": -0.01, "n_steps": 2, "log2_paths": 5, "replications": 1}))
+        assert main(["price", "--config", str(path)]) == 0
+
+    def test_json_mirror_names_the_estimator_that_ran(self, tmp_path, capsys):
+        # asked for conditioning and "closed" on a correlated vol: the raw estimator and the M1 pilot ran
+        path, out = tmp_path / "cfg.json", tmp_path / "t.csv"
+        path.write_text(json.dumps({"payoff": "min_put", "dim": 2, "vol": [[0.2, 0.0], [0.1, 0.2]],
+                                    "n_steps": 2, "log2_paths": 6, "replications": 1, "calibration": "closed"}))
+        assert main(["price", "--config", str(path), "--out", str(out)]) == 0
+        row = json.loads((tmp_path / "t.json").read_text())["rows"][0]
+        assert (row["conditioning"], row["calibration"]) == (False, "M1")
+        assert out.read_text().splitlines()[0] == ",".join(TABLE_COLUMNS)
 
     def test_sweep_subcommand(self, capsys):
         code = main(["sweep", "--steps", "2", "--log2-paths", "5", "--replications", "1",

@@ -1,12 +1,17 @@
-"""Each input rule is written once, in ``mcmpricer.errors``: no other module copies one."""
+"""Each input rule is written once, in ``mcmpricer.errors``: no other module copies one,
+and the CLI's config check leaves every rule the library checks to the library."""
 
 import ast
 import re
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcmpricer
+from mcmpricer import errors
+from mcmpricer.errors import DimensionMismatchError
 
 SRC = Path(mcmpricer.__file__).parent
 # Each idiom as ``ast.unparse`` prints a comparison or a boolean expression
@@ -15,22 +20,15 @@ IDIOMS = {
     "seed range": re.compile(r"\b0 <= .+ < SEED_LIMIT\b"),
     "finite and positive": re.compile(r"(\b0(\.0)? < |> 0(\.0)?\b).*< (np|math)\.inf\b"),
 }
-# The CLI's own boundary: its ConfigError names the config field
-EXEMPT = ("bench.py", "RunConfig", "validate")
+# The config fields that only the CLI reads: the library never sees them
+CLI_FIELDS = {"log2_paths", "out"}
 
 
 def _copies(path: Path) -> set[tuple[str, int]]:
-    """(rule, line) of every idiom in the module, outside the exempt method."""
-    tree = ast.parse(path.read_text())
-    skip = set()
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and (path.name, cls.name) == EXEMPT[:2]:
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == EXEMPT[2]:
-                    skip.update(range(fn.lineno, fn.end_lineno + 1))
+    """(rule, line) of every idiom in the module."""
     found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BoolOp, ast.Compare, ast.BinOp)) and node.lineno not in skip:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BoolOp, ast.Compare, ast.BinOp)):
             text = ast.unparse(node)
             found.update((rule, node.lineno) for rule, idiom in IDIOMS.items() if idiom.search(text))
     return found
@@ -44,3 +42,30 @@ def test_errors_holds_every_rule():
                          ids=lambda p: p.name)
 def test_no_other_module_copies_a_rule(path):
     assert _copies(path) == set()
+
+
+@pytest.mark.parametrize("rule,values,error", [
+    (errors.require_integer, {"n": 2.5}, TypeError),
+    (partial(errors.require_count, DimensionMismatchError), {"n": 0}, DimensionMismatchError),
+    (errors.require_seed, {"seed": -1}, ValueError),
+    (errors.require_positive, {"n": np.array([1.0, np.nan])}, ValueError),
+    (errors.require_finite, {"n": np.inf}, ValueError),
+    (partial(errors.require_choice, ("a", "b")), {"n": "c"}, ValueError),
+])
+def test_each_rule_names_the_argument_it_rejects(rule, values, error):
+    with pytest.raises(error) as exc:
+        rule(**values)
+    assert exc.value.argument == next(iter(values))
+
+
+def test_config_validation_compares_only_the_cli_fields():
+    # a comparison on any other field, or on a value read from one, restates a library rule
+    tree = ast.parse((SRC / "bench.py").read_text())
+    config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    validate = next(node for node in config.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate")
+    for node in ast.walk(validate):
+        if isinstance(node, ast.Compare):
+            read = {attr.attr for attr in ast.walk(node) if isinstance(attr, ast.Attribute)
+                    and isinstance(attr.value, ast.Name) and attr.value.id == "self"}
+            assert read and read <= CLI_FIELDS, f"line {node.lineno}: {ast.unparse(node)}"

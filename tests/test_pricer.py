@@ -34,7 +34,7 @@ from mcmpricer import (
 from mcmpricer import pricer, ratio
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriangularError
 from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation
-from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
+from mcmpricer.ratio import m2_fixed_point, pooled_plan
 
 from conftest import BENCH_RATE, cyclic_garbage
 
@@ -266,7 +266,8 @@ class TestEngine:
                 assert len(plans_per_date) == 3 and max(plans_per_date) > 1
 
     def test_m2_plan_flags_the_iteration_cap(self, monkeypatch):
-        # M2_EPS = 0 is never met, so the fixed point stops at its cap; M2_EPS = 1 at the first round
+        # M2_EPS = 0 is never met, so the fixed point stops, flagged, at its first repeated state
+        # or its cap; M2_EPS = 1 at the first round
         payoff = Payoff("geometric_put", 2, 100.0)
         paths = simulate_paths(build_vol(2, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=87)
         s_k = paths.s[:, 2, :]
@@ -333,20 +334,20 @@ def _normalised_matrix_pilot(kern, cf, calibration):
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
         return calls, plan
-    lam = plan.lam
-    for _ in range(M2_MAX_ITER):
-        msub = max(2, round(lam * m))
+
+    def replan(plan):
+        # the fixed-point loop is ratio's (tested there); only the moments are the reference's
+        nonlocal a, b
+        msub = max(2, round(plan.lam * m))
         if plan.regime == "case1":
             a = kn[:, :msub] @ cf[:msub] / msub
         else:
             b = kn[:, :msub].mean(axis=1)
         calls.append((a, b, s1, s2, rho))
         new = pooled_plan(a, b, s1, s2, rho, n)
-        if abs(new.lam - lam) < M2_EPS:
-            return calls, new
-        lam = new.lam
-        plan = new
-    return calls, plan
+        return new, (b if new.regime == "case1" else a).tobytes()
+
+    return calls, m2_fixed_point(plan, replan)
 
 
 def _full_range_tile_sums(kern, n_q, m, rhs, rhs_sq=None):
@@ -832,6 +833,14 @@ class TestPriceMcm:
         est = price_mcm(*args, method="P2eq", conditioning=True, replications=2)
         assert np.isfinite(est.price) and est.price > 0.0
         assert est.values == price_mcm(*args, method="P2eq", conditioning=False, replications=2).values
+
+    @pytest.mark.parametrize("vol_spec,conditioning,calibration", [
+        (0.2, True, "closed"), ([[0.2, 0.0], [0.1, 0.2]], False, "M1")])
+    def test_estimate_names_the_estimator_that_ran(self, vol_spec, conditioning, calibration):
+        # asked for conditioning and "closed": a correlated vol runs the raw estimator and the M1 pilot
+        est = price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, 100.0, BENCH_RATE, 64, 17,
+                        method="P2opt", replications=1, calibration="closed")
+        assert (est.conditioning, est.calibration) == (conditioning, calibration)
 
     @pytest.mark.parametrize("vol_spec,conditioning", [
         ([[0.2, 0.0], [0.1, 0.2]], True), ([[0.2, 0.0], [0.1, 0.2]], False), (0.2, False)])

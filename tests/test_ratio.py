@@ -175,7 +175,8 @@ def _m2_replan(stats, n_max, noise, calls=None):
 
     The mean whose estimate depends on the split (A in case 1, B in case 2)
     is re-estimated, here as its pilot value plus ``noise(plan)``, and the
-    plan is pooled again, so the regime may change between rounds.  Each
+    plan is pooled again, so the regime may change between rounds.  The
+    other mean is always the pilot's, so the carried value is None.  Each
     returned plan is appended to ``calls`` when given.
     """
 
@@ -185,7 +186,7 @@ def _m2_replan(stats, n_max, noise, calls=None):
         out = pooled_plan(*(np.array([getattr(new, f)]) for f in STATS_FIELDS), n_max)
         if calls is not None:
             calls.append(out)
-        return out
+        return out, None
 
     return replan
 
@@ -216,13 +217,28 @@ class TestCalibration:
         plan = m2_fixed_point(optimal_plan(stats, n_max), replan)
         assert plan.converged
         assert len(calls) > 1 and plan is calls[-1]
-        assert abs(replan(plan).lam - plan.lam) < M2_EPS
+        assert abs(replan(plan)[0].lam - plan.lam) < M2_EPS
 
-    def test_m2_iteration_cap_flags_nonconvergence(self):
+    def test_m2_stops_at_its_first_repeated_state(self):
         # B jumps by 1 whenever lambda passes 0.56, so lambda cycles between
-        # 0.575 and 0.55: the cap ends the loop on the last replan, flagged
+        # 0.575 and 0.55: the loop stops on the first plan that repeats, and
+        # returns the plan the M2_MAX_ITER rounds would have ended on, flagged
         stats, n_max, calls = QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**14, []
         replan = _m2_replan(stats, n_max, lambda plan: float(plan.lam > 0.56), calls)
+        start = optimal_plan(stats, n_max)
+        plan = m2_fixed_point(start, replan)
+        assert calls[-1] in calls[:-1] and len(set(calls[:-1])) == len(calls) - 1
+        assert len(calls) <= 3
+        capped = start
+        for _ in range(M2_MAX_ITER):
+            capped = replan(capped)[0]
+        assert plan == replace(capped, converged=False)
+
+    def test_m2_iteration_cap_flags_nonconvergence(self):
+        # as above, plus a drift that no round repeats: the cap ends the loop
+        # on the last replan, flagged
+        stats, n_max, calls = QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**14, []
+        replan = _m2_replan(stats, n_max, lambda plan: float(plan.lam > 0.56) + 1e-3 * len(calls), calls)
         plan = m2_fixed_point(optimal_plan(stats, n_max), replan)
         assert len(calls) == M2_MAX_ITER
         assert plan == replace(calls[-1], converged=False)
