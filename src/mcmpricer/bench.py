@@ -21,19 +21,19 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import product
-from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, McmPricerError, NonDeterministicResultError
-from .errors import require_integer
+from .errors import require_integer, require_real
 from .pricer import CALIBRATIONS, METHODS, PAYOFF_KINDS, Payoff, _resolve, price_mcm
 
 TABLE_COLUMNS = ("method", "payoff", "dim", "steps", "paths", "price", "std", "fallbacks", "runtime_ms")
 # The JSON mirror's rows also name the estimator that ran
 ROW_COLUMNS = (*TABLE_COLUMNS, "conditioning", "calibration")
 SCALING_COLUMNS = ("degree", "runtime_ms", "speedup", "price", "std")
-# The fields the library takes as real numbers without checking their type; it checks the integers
+# The fields the library takes as real numbers without checking their type (the CLI checks it
+# with require_real; a bool is not one); the library checks the integers
 NUMBER_FIELDS = ("strike", "maturity", "rate", "s0")
 # The config field of each price_mcm argument (or Payoff's kind) named otherwise
 CONFIG_FIELDS = {"r": "rate", "n_workers": "threads", "n_paths": "log2_paths", "vol_spec": "vol",
@@ -72,10 +72,6 @@ class RunConfig:
         that does not build, does not cover the maturity or has no closed
         forms for P1.
         """
-        for name in NUMBER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ConfigError(name, f"must be a number, got {value!r}")
         if not isinstance(self.conditioning, bool):
             raise ConfigError("conditioning", f"must be true or false, got {self.conditioning!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -85,6 +81,7 @@ class RunConfig:
         if self.log2_paths not in range(27):
             raise ConfigError("log2_paths", f"must be an integer in [0, 26], got {self.log2_paths!r}")
         try:
+            require_real(**{name: getattr(self, name) for name in NUMBER_FIELDS})
             require_integer(log2_paths=self.log2_paths)
             _resolve(*self.price_args())
         except (ValueError, TypeError, KeyError, McmPricerError) as exc:

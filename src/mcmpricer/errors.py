@@ -2,13 +2,16 @@
 
 Every public entry point checks its arguments with the ``require_*`` rules
 below before any work.  Each rule has one wording, "{name} must be ...,
-got {value!r}": ``require_integer`` (TypeError), ``require_count`` (an
-integer >= 1), ``require_seed`` (an integer in [0, 2**64)),
-``require_positive`` (finite and positive), ``require_finite`` and
-``require_choice`` (one of a fixed set).  The error a rule raises names the
+got {value!r}": ``require_integer`` and ``require_real`` (TypeError),
+``require_count`` (an integer >= 1), ``require_seed`` (an integer in
+[0, 2**64)), ``require_positive`` (finite and positive), ``require_finite``
+and ``require_choice`` (one of a fixed set).  The error a rule raises names the
 argument in its ``argument`` attribute, so a caller such as the CLI can tell
 which input was rejected without reading the message.
 """
+
+from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -78,11 +81,17 @@ def _named(error: type[Exception], name: str, message: str) -> Exception:
     return exc
 
 
-def require_integer(**values) -> None:
-    """TypeError unless each value is an int or a numpy integer; a bool is not one."""
+def _require_type(kind: str, types, /, **values) -> None:
+    """TypeError unless each value is an instance of ``types``; a bool is not one."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise _named(TypeError, name, f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise _named(TypeError, name, f"{name} must be {kind}, got {value!r}")
+
+
+# TypeError unless each value is an int or a numpy integer; a bool is not one
+require_integer = partial(_require_type, "an integer", (int, np.integer))
+# TypeError unless each value is a real number (numbers.Real); a bool is not one
+require_real = partial(_require_type, "a real number", Real)
 
 
 def require_count(error: type[ValueError] = ValueError, /, **values) -> None:

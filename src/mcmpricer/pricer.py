@@ -122,7 +122,9 @@ class PriceEstimate:
     population standard deviation (ddof = 0): the spread of one replication,
     not the standard error of ``price``, which is std / sqrt(R - 1).
     ``conditioning`` and ``calibration`` name the estimator that ran, as
-    ``price_mcm`` resolved it, which can differ from what was asked.
+    ``price_mcm`` resolved it, which can differ from what was asked; each
+    is None where it does not apply (both for LS, the calibration for P1
+    and P2eq).
     """
 
     price: float
@@ -556,13 +558,13 @@ def _one_replication(sweep, payoff, vol, grid, s0, r, n_paths, seed, rep):
 
 
 def _resolve(payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, method, conditioning,
-             replications, n_workers, calibration) -> tuple[partial, bool, str]:
+             replications, n_workers, calibration) -> tuple[partial, bool | None, str | None]:
     """Check every argument of ``price_mcm`` and decide its estimator, once, before any work.
 
     Returns the job that ``_replicate`` runs, a partial of
     ``_one_replication``, and the ``conditioning`` and ``calibration`` it
-    runs with (they do not apply to LS).  Raises what ``price_mcm``
-    documents.
+    runs with, each None where it does not apply (both for LS, the
+    calibration for P1 and P2eq).  Raises what ``price_mcm`` documents.
     """
     require_choice(METHODS, method=method)
     require_choice(CALIBRATIONS, calibration=calibration)
@@ -584,7 +586,8 @@ def _resolve(payoff, vol_spec, maturity, n_steps, s0, r, n_paths, seed, method, 
         _mcm_continuation, method=method, conditioning=conditioning, calibration=calibration)
     sweep = partial(_backward_induction, continuation=continuation)
     job = partial(_one_replication, sweep, payoff, vol, grid, s0, r, n_paths, seed)
-    return job, conditioning, calibration
+    # LS runs neither setting, and only P2opt splits its samples by calibration
+    return job, None if method == "LS" else conditioning, calibration if method == "P2opt" else None
 
 
 # The directory that holds the package: the forkserver imports the package from it
@@ -772,14 +775,16 @@ def price_mcm(
 
     "LS" is the Longstaff-Schwartz regression: cubic monomials in s / strike
     for d = 1, linear in the assets otherwise.  ``conditioning`` and
-    ``calibration`` do not apply to it.  For P1, P2eq and P2opt the
-    estimator is decided once per call, before any work (``_resolve``), and
-    the estimate names the ``conditioning`` and ``calibration`` that ran: the
-    closed-form kernel and its moments exist only for constant diagonal vol,
-    so elsewhere ``conditioning`` is off and the raw estimator runs.
-    ``calibration`` sets how P2opt splits its samples, and does not apply to
-    P1 or P2eq: "closed" uses the closed moments where the kernel has them,
-    and becomes "M1", the pilot, otherwise; "M1" and "M2" run the pilots.
+    ``calibration`` do not apply to it, and its estimate reports both as
+    None.  For P1, P2eq and P2opt the estimator is decided once per call,
+    before any work (``_resolve``), and the estimate names the
+    ``conditioning`` and ``calibration`` that ran: the closed-form kernel
+    and its moments exist only for constant diagonal vol, so elsewhere
+    ``conditioning`` is off and the raw estimator runs.  ``calibration``
+    sets how P2opt splits its samples, and does not apply to P1 or P2eq,
+    whose estimates report it as None: "closed" uses the closed moments
+    where the kernel has them, and becomes "M1", the pilot, otherwise; "M1"
+    and "M2" run the pilots.
     An unknown ``method`` or ``calibration``, a malformed ``vol_spec`` or
     one that ends before ``maturity``, P1 on vol that is not constant diagonal
     (NotDiagonalError), an ``s0`` or ``maturity`` that is not finite and

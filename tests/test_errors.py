@@ -16,7 +16,9 @@ from mcmpricer.errors import DimensionMismatchError
 SRC = Path(mcmpricer.__file__).parent
 # Each idiom as ``ast.unparse`` prints a comparison or a boolean expression
 IDIOMS = {
-    "integer": re.compile(r"isinstance\((.+), bool\) or not isinstance\(\1, "),
+    # a type check that turns a bool away, whatever the order or polarity of its two isinstance calls
+    "type, not a bool": re.compile(r"\bisinstance\((.+), bool\).* isinstance\(\1, "
+                                   r"|\bisinstance\((.+), .+ isinstance\(\2, bool\)"),
     "seed range": re.compile(r"\b0 <= .+ < SEED_LIMIT\b"),
     "finite and positive": re.compile(r"(\b0(\.0)? < |> 0(\.0)?\b).*< (np|math)\.inf\b"),
 }
@@ -46,6 +48,7 @@ def test_no_other_module_copies_a_rule(path):
 
 @pytest.mark.parametrize("rule,values,error", [
     (errors.require_integer, {"n": 2.5}, TypeError),
+    (errors.require_real, {"n": True}, TypeError),
     (partial(errors.require_count, DimensionMismatchError), {"n": 0}, DimensionMismatchError),
     (errors.require_seed, {"seed": -1}, ValueError),
     (errors.require_positive, {"n": np.array([1.0, np.nan])}, ValueError),

@@ -34,7 +34,7 @@ from mcmpricer import (
 from mcmpricer import pricer, ratio
 from mcmpricer.errors import DimensionMismatchError, NotDiagonalError, NotTriangularError
 from mcmpricer.pricer import _backward_induction, _ls_continuation, _mcm_continuation
-from mcmpricer.ratio import m2_fixed_point, pooled_plan
+from mcmpricer.ratio import M2_EPS, M2_MAX_ITER, pooled_plan
 
 from conftest import BENCH_RATE, cyclic_garbage
 
@@ -227,12 +227,46 @@ class TestEngine:
             plan, _ = pricer._date_plan(kern, cf, calibration)
             ref_calls, ref_plan = _normalised_matrix_pilot(kern, cf, calibration)
             assert (plan.regime, plan.n, plan.n_prime) == (ref_plan.regime, ref_plan.n, ref_plan.n_prime)
-            assert len(calls) == len(ref_calls)
+            # the reference runs every M2 round up to the cap; the pricer stops at its first repeated
+            # state, so its calls are a prefix of the reference's and its plan the reference's last
+            assert 1 <= len(calls) <= len(ref_calls)
             if calibration == "M2":
                 assert len(calls) > 1
+            else:
+                assert len(calls) == len(ref_calls)
             for got, want in zip(calls, ref_calls):
                 for g, w in zip(got, want):    # a, b, s1, s2, rho per query
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def test_m2_carries_the_mean_the_next_round_keeps(self, tri_vol_2d, monkeypatch):
+        # the state a round hands on is its plan and the one of (a, b) the next round does not
+        # re-estimate, so a repeated state is a cycle and not an early stop
+        plans, carried = [], []
+        real_plan, real_fixed_point = pricer.pooled_plan, pricer.m2_fixed_point
+
+        def recording_plan(*args, **kwargs):
+            plans.append(args[:2])
+            return real_plan(*args, **kwargs)
+
+        def recording_fixed_point(plan, replan):
+            def recorded(plan):
+                new, key = replan(plan)
+                carried.append(key)
+                return new, key
+            return real_fixed_point(plan, recorded)
+
+        monkeypatch.setattr(pricer, "pooled_plan", recording_plan)
+        monkeypatch.setattr(pricer, "m2_fixed_point", recording_fixed_point)
+        payoff = Payoff("geometric_put", 2, 100.0)
+        paths = simulate_paths(tri_vol_2d, TimeGrid(1.0, 4), 100.0, BENCH_RATE, 5000, seed=88)
+        s_k = paths.s[:, 2, :]
+        pricer._date_plan(pricer._raw_kernel(paths, 2, s_k[payoff(s_k) > 0.0], "P2opt"),
+                          payoff(paths.s[:, -1, :]), "M2")
+        assert len(carried) == len(plans) - 1 > 2
+        # round i made plans[i + 1]; the round after it made plans[i + 2]
+        for key, now, after in zip(carried, plans[1:], plans[2:]):
+            kept = {m.tobytes() for m, m_after in zip(now, after) if np.array_equal(m, m_after)}
+            assert key in kept
 
     def test_raw_m2_iterates_the_plan(self, tri_vol_2d, monkeypatch):
         # the raw estimator runs the M2 fixed point: more than one plan per date
@@ -334,20 +368,20 @@ def _normalised_matrix_pilot(kern, cf, calibration):
     plan = pooled_plan(a, b, s1, s2, rho, n)
     if calibration != "M2":
         return calls, plan
-
-    def replan(plan):
-        # the fixed-point loop is ratio's (tested there); only the moments are the reference's
-        nonlocal a, b
-        msub = max(2, round(plan.lam * m))
+    lam = plan.lam
+    for _ in range(M2_MAX_ITER):
+        msub = max(2, round(lam * m))
         if plan.regime == "case1":
             a = kn[:, :msub] @ cf[:msub] / msub
         else:
             b = kn[:, :msub].mean(axis=1)
         calls.append((a, b, s1, s2, rho))
         new = pooled_plan(a, b, s1, s2, rho, n)
-        return new, (b if new.regime == "case1" else a).tobytes()
-
-    return calls, m2_fixed_point(plan, replan)
+        if abs(new.lam - lam) < M2_EPS:
+            return calls, new
+        lam = new.lam
+        plan = new
+    return calls, plan
 
 
 def _full_range_tile_sums(kern, n_q, m, rhs, rhs_sq=None):
@@ -834,12 +868,16 @@ class TestPriceMcm:
         assert np.isfinite(est.price) and est.price > 0.0
         assert est.values == price_mcm(*args, method="P2eq", conditioning=False, replications=2).values
 
-    @pytest.mark.parametrize("vol_spec,conditioning,calibration", [
-        (0.2, True, "closed"), ([[0.2, 0.0], [0.1, 0.2]], False, "M1")])
-    def test_estimate_names_the_estimator_that_ran(self, vol_spec, conditioning, calibration):
-        # asked for conditioning and "closed": a correlated vol runs the raw estimator and the M1 pilot
+    @pytest.mark.parametrize("method,vol_spec,asked,conditioning,calibration", [
+        ("P2opt", 0.2, "closed", True, "closed"), ("P2opt", [[0.2, 0.0], [0.1, 0.2]], "closed", False, "M1"),
+        ("LS", 0.2, "closed", None, None), ("LS", [[0.2, 0.0], [0.1, 0.2]], "M2", None, None),
+        ("P1", 0.2, "M1", True, None), ("P2eq", 0.2, "M2", True, None),
+        ("P2eq", [[0.2, 0.0], [0.1, 0.2]], "closed", False, None)])
+    def test_estimate_names_the_estimator_that_ran(self, method, vol_spec, asked, conditioning, calibration):
+        # asked for conditioning: a correlated vol runs the raw estimator, and P2opt's "closed" the M1
+        # pilot; a setting that does not apply (both for LS, the calibration for P1 and P2eq) is None
         est = price_mcm(Payoff("geometric_put", 2, 100.0), vol_spec, 1.0, 2, 100.0, BENCH_RATE, 64, 17,
-                        method="P2opt", replications=1, calibration="closed")
+                        method=method, replications=1, calibration=asked)
         assert (est.conditioning, est.calibration) == (conditioning, calibration)
 
     @pytest.mark.parametrize("vol_spec,conditioning", [

@@ -243,6 +243,15 @@ class TestCalibration:
         assert len(calls) == M2_MAX_ITER
         assert plan == replace(calls[-1], converged=False)
 
+    def test_m2_repeat_needs_the_carried_mean_too(self):
+        # the 2-cycle of plans above, but the mean carried to the next round
+        # changes every round: no state repeats, so the cap ends the loop
+        stats, n_max, calls = QuotientStats(1.0, 2.0, 1.0, 1.0, 0.3), 2**14, []
+        cycle = _m2_replan(stats, n_max, lambda plan: float(plan.lam > 0.56), calls)
+        plan = m2_fixed_point(optimal_plan(stats, n_max), lambda plan: (cycle(plan)[0], len(calls)))
+        assert len(set(calls)) == 2 and len(calls) == M2_MAX_ITER
+        assert plan == replace(calls[-1], converged=False)
+
     def test_m2_converges_at_clamped_lambda(self):
         # rho = -1 puts lambda* below the 1/n_max grid in either regime; the
         # re-estimated mean moves the unclamped lambda* by more than M2_EPS
