@@ -58,10 +58,6 @@ class DimensionMismatchError(McmPricerError, ValueError):
     """Payoff dimensionality does not match the supplied asset vector."""
 
 
-class RegressionSingularError(McmPricerError, ValueError):
-    """Least-squares normal equations are rank deficient."""
-
-
 class NonDeterministicResultError(McmPricerError, RuntimeError):
     """Identical configs produced different prices across parallelism degrees."""
 
@@ -117,9 +113,9 @@ def require_positive(**values) -> None:
 
 
 def require_finite(**values) -> None:
-    """ValueError unless each (scalar) value is finite."""
+    """ValueError unless each value, a scalar or every entry of an array, is finite."""
     for name, value in values.items():
-        if not -np.inf < value < np.inf:
+        if not np.all((-np.inf < value) & (value < np.inf)):
             raise _named(ValueError, name, f"{name} must be finite, got {value!r}")
 
 

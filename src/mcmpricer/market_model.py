@@ -96,7 +96,10 @@ def build_vol(dim: int, spec, rate: float = 0.0) -> TriangularVol:
       * {"breaks": [...], "matrices": [...]} -> piecewise constant matrices
 
     A ``dim`` that is not an integer raises TypeError, one below 1 ValueError.
-    Raises NotTriangularError / NotEllipticError / SingularVolError.
+    A vol entry that is not finite raises ValueError naming ``vol_spec``, and
+    so do breaks that do not start at 0 and strictly increase; the last
+    break may be +inf.  Raises NotTriangularError / NotEllipticError /
+    SingularVolError.
     """
     require_count(dim=dim)
     if isinstance(spec, dict):
@@ -104,7 +107,8 @@ def build_vol(dim: int, spec, rate: float = 0.0) -> TriangularVol:
         mats = np.asarray(spec["matrices"], dtype=float)
         if breaks.ndim != 1 or len(breaks) != len(mats) + 1:
             raise ValueError("piecewise spec needs len(breaks) == len(matrices) + 1")
-        if breaks[0] != 0.0 or np.any(np.diff(breaks) <= 0.0):
+        # written so that a NaN break fails; a last break of +inf passes
+        if breaks[0] != 0.0 or not np.all(np.diff(breaks) > 0.0):
             raise ValueError("breaks must start at 0 and strictly increase")
     else:
         arr = np.asarray(spec, dtype=float)
@@ -125,6 +129,7 @@ def build_vol(dim: int, spec, rate: float = 0.0) -> TriangularVol:
 
     if mats.shape[1:] != (dim, dim):
         raise ValueError(f"matrices must be {dim}x{dim}, got {mats.shape[1:]}")
+    require_finite(vol_spec=mats)
     upper = np.triu(mats, k=1)
     if np.any(upper != 0.0):
         raise NotTriangularError("sigma_ij must vanish for i < j")

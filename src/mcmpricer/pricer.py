@@ -43,7 +43,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotDiagonalError, RegressionSingularError, require_choice
+from .errors import DimensionMismatchError, NotDiagonalError, require_choice
 from .errors import require_count, require_finite, require_integer, require_positive, require_seed
 from .kernels import (
     KERNEL_DEN_FLOOR,
@@ -225,7 +225,8 @@ def _raw_kernel(paths: AssetPaths, k: int, x_itm: np.ndarray, method: str) -> _D
     closed_b = None
     if method == "P1":
         params = _kernel_params(paths, k)
-        scale = params.sigma * params.s * (params.t - params.s)
+        # the closed form of the raw denominator reads |sigma_kk|: the weights carry its sign
+        scale = np.abs(params.sigma) * params.s * (params.t - params.s)
         closed_b = np.prod(denominator_factors(params, x_itm) / scale, axis=-1)
     floor = DEN_FLOOR_SCALE * float(np.mean(np.abs(w)))
     engine = _dominance_sums if len(s_t) <= 2 else _tile_sums
@@ -439,7 +440,8 @@ def _kernel_sums(
     """Numerator and denominator means of every query of one date.
 
     The numerator averages cf * weight * K over the first n_num samples, the
-    denominator weight * K over the first n_den.  ``pilot`` is the (m, sums)
+    denominator weight * K over the first n_den; n_den = 0 leaves the
+    denominator zero and sums the numerator alone.  ``pilot`` is the (m, sums)
     of ``_date_plan``.  On the tile engine, the pilot's queries take each
     column whose cut (n_num, n_den) is at least m from the pilot's sums over
     samples 0..m-1, and K is built for them only on the samples the pilot
@@ -471,12 +473,15 @@ def _kernel_sums(
 
 
 def _backward_induction(paths: AssetPaths, payoff: Payoff, continuation) -> tuple[float, int]:
-    """One backward stopping-time pass; returns (price, fallback count).
+    """One backward stopping-time pass in date-0 money; returns (price, fallback count).
 
-    At each date k = n-1..1 the in-the-money paths ``itm`` exercise where
-    their intrinsic value beats their continuation value, which
-    ``continuation(paths, payoff, k, itm, cf)`` estimates from the discounted
-    cash flows ``cf`` of the later dates; it returns (values, fallback count).
+    This is the one place that evaluates the payoff and discounts.  ``cf``
+    holds each path's cash flow discounted to date 0: its payoff at the date
+    it exercises, else at maturity, times exp(-r t) of that date.  At each
+    date k = n-1..1 the in-the-money paths ``itm`` exercise where their
+    discounted intrinsic value beats their continuation value, which
+    ``continuation(paths, k, itm, cf)`` estimates from ``cf``, also in date-0
+    money; it returns (values, fallback count).
     """
     r = paths.rate
     dates = paths.grid.dates
@@ -487,14 +492,15 @@ def _backward_induction(paths: AssetPaths, payoff: Payoff, continuation) -> tupl
         itm = np.flatnonzero(intrinsic > 0.0)
         if itm.size == 0:
             continue
-        cont, bad = continuation(paths, payoff, k, itm, cf)
+        cont, bad = continuation(paths, k, itm, cf)
         fallbacks += bad
-        exercised = itm[intrinsic[itm] > cont]
-        cf[exercised] = np.exp(-r * dates[k]) * intrinsic[exercised]
+        value = np.exp(-r * dates[k]) * intrinsic[itm]
+        exercise = value > cont
+        cf[itm[exercise]] = value[exercise]
     return max(float(payoff(paths.s0[None, :])[0]), float(np.mean(cf))), fallbacks
 
 
-def _mcm_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray, cf: np.ndarray, *,
+def _mcm_continuation(paths: AssetPaths, k: int, itm: np.ndarray, cf: np.ndarray, *,
                       method: str, conditioning: bool, calibration: str) -> tuple[np.ndarray, int]:
     """Kernel quotient at date k, as price_mcm resolved it; +inf (never exercise) if degenerate."""
     x_itm = paths.s[:, k, :][itm]
@@ -507,12 +513,13 @@ def _mcm_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray
     if method == "P2opt":
         plan, pilot = _date_plan(kern, cf, calibration)
         n_num, n_den = plan.n_prime, plan.n
-    num, den = _kernel_sums(kern, cf, n_num, n_den, pilot)
+    # P1 divides by the closed denominator, so the engine sums the numerator only
+    num, den = _kernel_sums(kern, cf, n_num, 0 if method == "P1" else n_den, pilot)
     if method == "P1":
         den = kern.closed_b
     bad = ~(den > kern.floor)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cont = float(np.exp(paths.rate * paths.grid.dates[k])) * num / den
+        cont = num / den
     cont[bad] = np.inf
     return cont, int(np.count_nonzero(bad))
 
@@ -521,30 +528,27 @@ def _mcm_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray
 # Longstaff-Schwartz baseline
 # ---------------------------------------------------------------------------
 
-def _ls_basis(s: np.ndarray, strike: float) -> np.ndarray:
-    """Cubic monomials in s / strike for d = 1, linear in the assets otherwise."""
-    u = s / strike
+def _ls_basis(s: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """Regression basis in u = s / s0: 1, u, u^2, u^3 for d = 1; 1 and the d ratios otherwise.
+
+    Dividing by the initial values keeps every column of order one; it
+    spans the same functions as the unscaled monomials.
+    """
+    u = s / s0
     if s.shape[-1] == 1:
         z = u[:, 0]
         return np.stack([np.ones_like(z), z, z * z, z**3], axis=1)
     return np.concatenate([np.ones((len(u), 1)), u], axis=1)
 
 
-def _ls_continuation(paths: AssetPaths, payoff: Payoff, k: int, itm: np.ndarray,
-                     cf: np.ndarray) -> tuple[np.ndarray, int]:
-    """Least-squares regression of the date-k cash flows of ``itm`` on the basis."""
-    bmat = _ls_basis(paths.s[:, k, :][itm], payoff.strike)
-    target = np.exp(paths.rate * paths.grid.dates[k]) * cf[itm]
-    gram = bmat.T @ bmat
-    try:
-        coef = np.linalg.solve(gram, bmat.T @ target)
-    except np.linalg.LinAlgError:
-        # rank-deficient normal equations: ridge fallback
-        try:
-            coef = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), bmat.T @ target)
-        except np.linalg.LinAlgError as exc:
-            raise RegressionSingularError(f"normal equations singular at date {k}") from exc
-    return bmat @ coef, 0
+def _ls_continuation(paths: AssetPaths, k: int, itm: np.ndarray, cf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares fit of the cash flows of ``itm`` on the basis at date k, in one ``lstsq`` call.
+
+    With fewer in-the-money paths than basis functions the fit is the
+    minimum-norm one, which interpolates their cash flows.
+    """
+    bmat = _ls_basis(paths.s[:, k, :][itm], paths.s0)
+    return bmat @ np.linalg.lstsq(bmat, cf[itm])[0], 0
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +648,11 @@ def _worker_environment():
 def _forkserver_context():
     """The forkserver context with its workers' imports preloaded, made on the first parallel call.
 
-    The first pool starts the server inside ``_worker_environment``, and the
-    server imports numpy, ``numpy.random``, ``numpy.ma``, the pool's worker
-    module, this package and, last, ``_forkserver_main``, which imports the
-    caller's main script as ``__mp_main__``.  Every worker of every later
+    The first submit to the first pool starts the server inside
+    ``_worker_environment``, and the server imports numpy, ``numpy.random``,
+    ``numpy.ma``, the pool's worker module, this package and, last,
+    ``_forkserver_main``, which imports the caller's main script as
+    ``__mp_main__``.  Every worker of every later
     call is a fork of the server and starts with them imported: it finds
     ``__main__`` already set to the script and does not re-run it.  Should
     the script fail to import in the server, each worker re-runs it as
@@ -733,10 +738,13 @@ def _replicate(job, replications: int, n_workers: int) -> PriceEstimate:
         # the start method CPython 3.14 defaults to: forkserver on Linux, spawn elsewhere
         ctx = _forkserver_context() if sys.platform.startswith("linux") else get_context("spawn")
         counter = ctx.Value("q", 0)
-        with _worker_environment(), ProcessPoolExecutor(
+        with ProcessPoolExecutor(
             max_workers=n_pool, mp_context=ctx, initializer=_install_counter, initargs=(counter,)
         ) as pool:
-            futures = [pool.submit(_drain, job, replications) for _ in range(n_pool)]
+            # each submit starts its worker, and the first one the forkserver: both read the
+            # environment there, and the caller prices its own replications in its own
+            with _worker_environment():
+                futures = [pool.submit(_drain, job, replications) for _ in range(n_pool)]
             out = _drain(job, replications, counter)
             for future in futures:
                 out += future.result()
@@ -773,10 +781,11 @@ def price_mcm(
     keeps its own.  Results are a pure function of (seed, parameters),
     independent of n_workers.
 
-    "LS" is the Longstaff-Schwartz regression: cubic monomials in s / strike
-    for d = 1, linear in the assets otherwise.  ``conditioning`` and
-    ``calibration`` do not apply to it, and its estimate reports both as
-    None.  For P1, P2eq and P2opt the estimator is decided once per call,
+    "LS" is the Longstaff-Schwartz regression: at each date one
+    least-squares fit of the in-the-money paths' discounted cash flows on
+    cubic monomials in s / s0 for d = 1, linear in the assets otherwise.
+    ``conditioning`` and ``calibration`` do not apply to it, and its
+    estimate reports both as None.  For P1, P2eq and P2opt the estimator is decided once per call,
     before any work (``_resolve``), and the estimate names the
     ``conditioning`` and ``calibration`` that ran: the closed-form kernel
     and its moments exist only for constant diagonal vol, so elsewhere

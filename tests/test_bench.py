@@ -9,15 +9,21 @@ from pathlib import Path
 import pytest
 
 import mcmpricer
+from mcmpricer import bench
 from mcmpricer.bench import (TABLE_COLUMNS, RunConfig, _add_common, _config_from_args, main, run,
                              scaling_report, sweep)
-from mcmpricer.errors import ConfigError
+from mcmpricer.errors import ConfigError, NonDeterministicResultError
 
 
 def _tiny(**kw):
     base = dict(log2_paths=7, n_steps=3, replications=2, seed=11)
     base.update(kw)
     return RunConfig(**base)
+
+
+def _cell_of_degree(config):
+    """A priced cell whose replication values depend on the parallelism degree."""
+    return {"runtime_ms": 1.0, "price": 0.0, "std": 0.0, "values": (float(config.threads),)}
 
 
 class TestRunConfig:
@@ -45,6 +51,8 @@ class TestRunConfig:
         ({"breaks": [0, 1]}, 1),                              # no matrices
         ({"breaks": [0.0, 0.5], "matrices": [[[0.2]]]}, 1),   # ends before maturity 1
         ([[0.2, 0.1], [0.0, 0.3]], 2),                        # upper triangular
+        (float("nan"), 1),                                    # not finite
+        ({"breaks": [0.0, 0.5, float("nan")], "matrices": [[[0.2]], [[0.3]]]}, 1),  # a NaN last break
     ])
     def test_bad_vol_is_config_error(self, vol, dim):
         with pytest.raises(ConfigError) as err:
@@ -175,6 +183,11 @@ class TestScaling:
         rows = scaling_report(_tiny(dim=2, payoff="min_put", replications=3), [1, 2])
         assert rows[0]["price"] == rows[1]["price"]
 
+    def test_degrees_that_disagree_raise(self, monkeypatch):
+        monkeypatch.setattr(bench, "_run_cell", _cell_of_degree)
+        with pytest.raises(NonDeterministicResultError, match="degree 2 changed replication values"):
+            scaling_report(_tiny(), [1, 2])
+
     def test_rejects_bad_degrees(self):
         with pytest.raises(ConfigError):
             scaling_report(_tiny(), [])
@@ -217,6 +230,11 @@ class TestCli:
         assert (row["conditioning"], row["calibration"]) == (False, "M1")
         assert out.read_text().splitlines()[0] == ",".join(TABLE_COLUMNS)
 
+    def test_numerical_failure_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "_run_cell", _cell_of_degree)
+        assert main(["scaling", "--steps", "2", "--log2-paths", "5", "--degrees", "1,2"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_sweep_subcommand(self, capsys):
         code = main(["sweep", "--steps", "2", "--log2-paths", "5", "--replications", "1",
                      "--axes", '{"dim": [1, 2]}'])
@@ -257,6 +275,7 @@ class TestCli:
         ["scaling", "--degrees", "1,x"],
         ["price", "--threads", "0"],
         ["price", "--threads", "-2"],
+        ["sweep", "--axes", "{dim"],
     ])
     def test_malformed_arguments_exit_one(self, argv, capsys):
         assert main(argv + ["--steps", "2", "--log2-paths", "5", "--replications", "1"]) == 1
@@ -278,10 +297,12 @@ class TestCli:
     @pytest.mark.parametrize("data", [
         {"n_steps": 2.5}, {"replications": 2.0}, {"seed": "x"}, {"m2_eps": 0.001},
         {"conditioning": "no"}, {"out": 5},
+        '{"n_steps": 2', '[{"n_steps": 2}]',   # a file that is not JSON, and JSON that is not an object
     ])
     def test_mistyped_config_file_exits_one(self, data, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n_steps": 2, "log2_paths": 5, "replications": 1, **data}))
+        path.write_text(data if isinstance(data, str) else
+                        json.dumps({"n_steps": 2, "log2_paths": 5, "replications": 1, **data}))
         assert main(["price", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 

@@ -57,6 +57,25 @@ class TestBuildVol:
         with pytest.raises(NotTriangularError):
             build_vol(2, [[0.2, 0.1], [0.0, 0.2]])
 
+    @pytest.mark.parametrize("dim,spec,match,argument", [
+        (1, float("nan"), "vol_spec must be finite", "vol_spec"),
+        (2, [[0.2, 0.0], [float("nan"), 0.2]], "vol_spec must be finite", "vol_spec"),
+        (2, [[0.2, 0.0], [float("inf"), 0.2]], "vol_spec must be finite", "vol_spec"),
+        (1, {"breaks": [0.0, 0.5, 1.0], "matrices": [[[0.2]], [[float("nan")]]]}, "vol_spec must be finite",
+         "vol_spec"),
+        # a NaN last break would price as if its piece never ended
+        (1, {"breaks": [0.0, 0.5, float("nan")], "matrices": [[[0.2]], [[0.3]]]}, "breaks must start at 0",
+         None),
+    ])
+    def test_rejects_what_is_not_finite(self, dim, spec, match, argument):
+        with pytest.raises(ValueError, match=match) as exc:
+            build_vol(dim, spec)
+        assert getattr(exc.value, "argument", None) == argument
+
+    def test_last_break_may_be_infinite(self):
+        vol = build_vol(1, {"breaks": [0.0, 0.5, float("inf")], "matrices": [[[0.2]], [[0.3]]]})
+        assert vol.overlaps(0.25, 2.0) == [(0, 0.25, 0.5), (1, 0.5, 2.0)]
+
     def test_rho_sigma_identity_random(self):
         # computational content of the inverse-matrix requirement
         rng = np.random.default_rng(5)

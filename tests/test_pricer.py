@@ -83,7 +83,6 @@ class _ConstPayoff:
     """Duck-typed payoff paying a constant; exercises the discount identity."""
 
     dim = 1
-    strike = 100.0
 
     def __init__(self, c):
         self.c = c
@@ -104,7 +103,7 @@ _ls_induction = partial(_backward_induction, continuation=_ls_continuation)
 
 def _fixed_continuation(value, calls):
     """A continuation of ``value`` and one fallback per in-the-money path; records (k, count) in ``calls``."""
-    def continuation(paths, payoff, k, itm, cf):
+    def continuation(paths, k, itm, cf):
         calls.append((k, len(itm)))
         return np.full(len(itm), value), len(itm)
 
@@ -586,7 +585,7 @@ class TestPilotReuse:
         assert len(itm) > 42
         for calibration in calibrations:
             calls.clear()
-            _mcm_continuation(paths, payoff, k, itm, cf, method="P2opt", conditioning=conditioning,
+            _mcm_continuation(paths, k, itm, cf, method="P2opt", conditioning=conditioning,
                               calibration=calibration)
             (kern, n_num, n_den, pilot, (num, den)), = calls
             assert kern.engine is pricer._tile_sums and pilot is not None
@@ -629,7 +628,7 @@ class TestPilotReuse:
 
         monkeypatch.setattr(pricer, make, counted)
         paths, payoff, k, itm, cf = _reuse_date(dim, seed=93 + dim)
-        _mcm_continuation(paths, payoff, k, itm, cf, method="P2opt", conditioning=conditioning,
+        _mcm_continuation(paths, k, itm, cf, method="P2opt", conditioning=conditioning,
                           calibration=calibration)
         built, = counts
         # the pilot built each of its entries once, and the main sums none of them again
@@ -860,6 +859,15 @@ class TestPriceMcm:
                 price_mcm(payoff, vol_spec, 1.0, 3, 100.0, 0.0, 512, seed=82, method="P1",
                           conditioning=conditioning, replications=1)
 
+    @pytest.mark.parametrize("vol", [0.2, -0.2])
+    def test_raw_p1_prices_either_sign_of_the_vol(self, vol):
+        # the weights carry the sign of sigma_11 and the closed denominator reads |sigma_11|: it stays
+        # positive on every date, and raw P1 agrees with conditioned P1 on the same paths
+        args = (Payoff("geometric_put", 1, 100.0), vol, 1.0, 5, 100.0, BENCH_RATE, 2**10, 7)
+        raw, cond = (price_mcm(*args, method="P1", conditioning=c, replications=4) for c in (False, True))
+        assert raw.fallbacks == cond.fallbacks == 0
+        assert abs(raw.price - cond.price) <= 3.0 * np.hypot(raw.std, cond.std)
+
     def test_triangular_vol_falls_back_to_raw(self, tri_vol_2d):
         # conditioning asked for on a correlated vol runs the raw estimator
         payoff = Payoff("min_put", 2, 100.0)
@@ -940,6 +948,14 @@ def _worker_report(caller, marks, i):
     deadline = time.monotonic() + 60.0
     while not list(Path(marks).glob("*.json")) and time.monotonic() < deadline:
         time.sleep(0.01)
+    return 0.0, 0
+
+
+def _caller_environment(caller, marks, i):
+    """The caller records the worker-environment variables it prices replication ``i`` under."""
+    if os.getpid() == caller:
+        names = ("PYTHONPATH", *pricer.BLAS_THREAD_VARS, pricer._MAIN_PATH_VAR)
+        (Path(marks) / f"{i}.json").write_text(json.dumps([os.environ.get(name) for name in names]))
     return 0.0, 0
 
 
@@ -1218,6 +1234,17 @@ class TestReplicationPool:
         assert json.loads(out.stdout) == [True, True]
         assert script.with_suffix(".log").read_text().split() == ["__main__", "__mp_main__"]
 
+    def test_caller_prices_in_its_own_environment(self, tmp_path, monkeypatch):
+        # the workers start under the worker environment; the caller's own replications do not run in it
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv(pricer._MAIN_PATH_VAR, raising=False)
+        names = ("PYTHONPATH", *pricer.BLAS_THREAD_VARS, pricer._MAIN_PATH_VAR)
+        caller = [os.environ.get(name) for name in names]
+        pricer._replicate(partial(_caller_environment, os.getpid(), str(tmp_path)), 4, 2)
+        records = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+        assert records and all(record == caller for record in records)
+
     def test_caller_prices_while_workers_start(self):
         est = _small_replicate(_pid_sweep, 4, 3)
         assert float(os.getpid()) in est.values
@@ -1261,6 +1288,20 @@ class TestPriceLs:
         est = price_mcm(payoff, 0.2, 1.0, 10, 100.0, BENCH_RATE, 2**11, seed=7, method="LS", replications=4)
         tree = tree_american_put(100.0, 1000.0, BENCH_RATE, 0.0, 0.2, 1.0, 2000)
         assert abs(est.price - tree) / tree < 0.01
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_fit_interpolates_fewer_paths_than_basis_functions(self, dim):
+        # 1 .. (basis columns - 1) in-the-money paths: the least-squares fit passes through every cash flow
+        paths = simulate_paths(build_vol(dim, 0.2), TimeGrid(1.0, 4), 100.0, BENCH_RATE, 64, seed=31 + dim)
+        k = 2
+        cf = np.random.default_rng(dim).uniform(0.0, 20.0, paths.n_paths)
+        n_basis = pricer._ls_basis(paths.s[:1, k, :], paths.s0).shape[1]
+        for n_itm in range(1, n_basis):
+            for seed in range(20):
+                itm = np.sort(np.random.default_rng(seed).choice(paths.n_paths, n_itm, replace=False))
+                cont, fallbacks = _ls_continuation(paths, k, itm, cf)
+                assert fallbacks == 0
+                np.testing.assert_allclose(cont, cf[itm], rtol=0.0, atol=1e-9)
 
     @pytest.mark.slow
     def test_agrees_with_mcm_at_scale(self):
